@@ -320,34 +320,23 @@ def bench_good_center_jl(n: int, rng_seed: int, workers=None,
 
 
 def bench_good_center_rotated(n: int, rng_seed: int, workers=None) -> list:
-    """The full rotated-stage release (steps 8-11): in-parent vs shard-side,
-    fused query plans vs the per-query fan-outs.
+    """The full rotated-stage release (steps 8-11): in-parent vs shard-side.
 
-    Times the complete ``good_center`` call on the JL + rotated-axis path —
-    the stage PR 4 moved behind the backend and PR 5 bundled into fused
-    query plans.  The *in-parent* flavour is the no-backend reference: it
-    materialises the selected set, rotates it, and hands the coordinates to
-    NoisyAVG.  The *shard-side* flavours run the same call through a sharded
-    backend: the selected set travels as a label predicate, the rotated
-    frame is a shard-side view, and the parent only merges per-axis
-    histograms and ``(count, exact sum)`` partials — the parent-process
-    tracemalloc peak column is the point (in pool mode the parent never
-    holds the selected or rotated coordinates).  The *fused* flavour bundles
-    each stage into one :class:`~repro.neighbors.QueryPlan` (the
-    ``round_trips`` column counts the backend's collective fan-outs — one
-    per stage); *unfused* flips the ``_FUSED_QUERY_PLANS`` seam back to the
-    PR 4 per-query fan-outs.  All releases are asserted bitwise identical,
-    so the bench doubles as an end-to-end parity check of both seams.
+    Times the complete ``good_center`` call on the JL + rotated-axis path.
+    The *in-parent* flavour is the no-backend reference: it materialises
+    the selected set, rotates it, and hands the coordinates to NoisyAVG.
+    The *shard-side* flavour runs the same call through a sharded backend:
+    the selected set travels as a label predicate, the rotated frame is a
+    shard-side view, and the parent only merges per-axis histograms and
+    ``(count, exact sum)`` partials — the parent-process tracemalloc peak
+    column is the point (in pool mode the parent never holds the selected
+    or rotated coordinates).  Each stage is one
+    :class:`~repro.neighbors.QueryPlan`; the ``round_trips`` column counts
+    the backend's collective fan-outs.  The releases are asserted bitwise
+    identical, so the bench doubles as an end-to-end parity check.
     """
-    import sys
-
     from repro.core.config import GoodCenterConfig
     from repro.core.good_center import good_center
-
-    # The repro.core package rebinds the name ``good_center`` to the
-    # function, so the module (whose _FUSED_QUERY_PLANS seam the unfused
-    # flavour flips) must come from sys.modules.
-    good_center_module = sys.modules["repro.core.good_center"]
 
     dimension = 16
     target = n // 2
@@ -376,37 +365,33 @@ def bench_good_center_rotated(n: int, rng_seed: int, workers=None) -> list:
         "speedup": 1.0,
     })
 
-    for fused in (True, False):
-        good_center_module._FUSED_QUERY_PLANS = fused
-        backend = make_backend("sharded", points, workers)
-        try:
-            backend.radius_counts(0.01)        # warm: pool + shared memory
-            warm_fanouts = backend.pool_stats()["fanouts"]
-            tracemalloc.start()
-            start = time.perf_counter()
-            result = good_center(points, radius=0.05, target=target,
-                                 params=center_params, config=config, rng=5,
-                                 backend=backend)
-            shard_seconds = time.perf_counter() - start
-            _, shard_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            round_trips = backend.pool_stats()["fanouts"] - warm_fanouts
-        finally:
-            backend.close()
-            good_center_module._FUSED_QUERY_PLANS = True
-        assert result.found and np.array_equal(result.center,
-                                               reference.center), (
-            f"shard-side rotated stage (fused={fused}) disagrees with the "
-            f"in-parent release at n={n}"
-        )
-        rows.append({
-            "n": n, "d": dimension, "k": result.projected_dimension,
-            "mode": "shard-side/fused" if fused else "shard-side/unfused",
-            "release_s": shard_seconds,
-            "parent_peak_mb": shard_peak / 1e6,
-            "round_trips": round_trips,
-            "speedup": inline_seconds / shard_seconds,
-        })
+    backend = make_backend("sharded", points, workers)
+    try:
+        backend.radius_counts(0.01)        # warm: pool + shared memory
+        warm_fanouts = backend.pool_stats()["fanouts"]
+        tracemalloc.start()
+        start = time.perf_counter()
+        result = good_center(points, radius=0.05, target=target,
+                             params=center_params, config=config, rng=5,
+                             backend=backend)
+        shard_seconds = time.perf_counter() - start
+        _, shard_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        round_trips = backend.pool_stats()["fanouts"] - warm_fanouts
+    finally:
+        backend.close()
+    assert result.found and np.array_equal(result.center,
+                                           reference.center), (
+        f"shard-side rotated stage disagrees with the in-parent release at "
+        f"n={n}"
+    )
+    rows.append({
+        "n": n, "d": dimension, "k": result.projected_dimension,
+        "mode": "shard-side", "release_s": shard_seconds,
+        "parent_peak_mb": shard_peak / 1e6,
+        "round_trips": round_trips,
+        "speedup": inline_seconds / shard_seconds,
+    })
     return rows
 
 
@@ -912,12 +897,11 @@ def main() -> None:
             "n", "d", "k", "mode", "release_s", "parent_peak_mb",
             "round_trips", "speedup",
         ]))
-        print("\n(releases asserted bitwise identical between all modes; "
+        print("\n(releases asserted bitwise identical between both modes; "
               "round_trips counts the backend's collective fan-outs over "
-              "the whole call — the fused row bundles each GoodCenter stage "
-              "into one QueryPlan, the unfused row replays the PR 4 "
-              "per-query fan-outs; parent_peak_mb is parent-process "
-              "tracemalloc — in pool mode the shard-side rows never hold "
+              "the whole call — each GoodCenter stage is one QueryPlan; "
+              "parent_peak_mb is parent-process "
+              "tracemalloc — in pool mode the shard-side row never holds "
               "the selected set, its rotation, or any membership array; "
               "with --workers 0 the serial fallback computes shard partials "
               "in-parent one shard at a time)")

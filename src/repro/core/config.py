@@ -60,16 +60,6 @@ class GoodCenterConfig:
         choice, per-axis interval choices, NoisyAVG).  The paper splits
         evenly; the practical default weights the final noisy average most
         heavily because its noise dominates the centre error.
-    partition_batch_size:
-        How many partition-search attempts GoodCenter precomputes per
-        neighbor-backend view request (Algorithm 2, steps 3–6).  ``None``
-        (default) defers to the view's own
-        :attr:`~repro.neighbors.base.ProjectedView.batch_size` — 1 for
-        in-process backends, larger for the sharded backend, whose per-shard
-        fan-out the batching amortises.  Ignored when GoodCenter runs
-        without a backend (batching buys nothing in-parent).  Pure
-        performance: the shift and noise streams are split, so the release
-        distribution is identical at any batch size.
     """
 
     jl_constant: float = 4.0
@@ -80,7 +70,6 @@ class GoodCenterConfig:
     rotation_spread_constant: float = 2.0
     threshold_slack_constant: float = 8.0
     budget_split: tuple = (0.15, 0.15, 0.2, 0.5)
-    partition_batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name in ("jl_constant", "capture_probability_target",
@@ -103,11 +92,6 @@ class GoodCenterConfig:
             )
         if sum(self.budget_split) > 1.0 + 1e-9:
             raise ValueError("budget_split fractions must sum to at most 1")
-        if self.partition_batch_size is not None and self.partition_batch_size < 1:
-            raise ValueError(
-                f"partition_batch_size must be at least 1 or None, got "
-                f"{self.partition_batch_size}"
-            )
 
     @classmethod
     def paper(cls) -> "GoodCenterConfig":

@@ -67,46 +67,6 @@ from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points, check_positive, check_probability
 
 
-#: Whether the in-parent partition search hands its winning attempt's label
-#: array to step 7 (it always computes one per attempt anyway).  The rehash
-#: this avoids is pure recomputation, so flipping the flag must not move a
-#: single byte of any release — tests/test_release_parity.py monkeypatches it
-#: off and asserts exactly that, guarding the reuse against ever feeding
-#: step 7 labels that belong to a different partition of the batch.
-_REUSE_SEARCH_LABELS = True
-
-#: Whether the backend path runs steps 8-11 shard-side: the selected set D
-#: travels as a label predicate (BoxSelection), the per-axis interval
-#: histograms and NoisyAVG's (count, exact sum) statistics arrive merged
-#: from the backend, and the parent never materialises the selected or
-#: rotated coordinates.  The merged statistics are *canonical* — exact
-#: fixed-point sums, first-occurrence-ordered histograms — so flipping the
-#: flag must not move a byte of any release; tests/test_release_parity.py
-#: disables it (forcing the historical in-parent rotated stage) and asserts
-#: exactly that, on both projection paths and including the NoisyAVG abstain
-#: branch.
-_SHARD_SIDE_ROTATED_STAGE = True
-
-#: Whether the backend path bundles its queries into
-#: :class:`~repro.neighbors.QueryPlan`\ s.  Each dependency frontier of the
-#: algorithm becomes one plan — the partition-search batch, the step-7 box
-#: histogram, the step-9 per-axis histograms, and the steps-10-11 NoisyAVG
-#: statistics — pinning the "one worker round trip per shard per stage"
-#: contract the instrumentation tests assert.  Each stage already cost one
-#: fan-out on the PR 4 per-query path (every plan here carries a single
-#: query), so the plan routing buys not fewer fan-outs but the plan
-#: execution guarantees: per-call selection-membership memoisation in the
-#: workers, round-trip accounting via ``pool_stats``, and the wire form
-#: multi-machine shards will speak.  A noise draw sits between consecutive
-#: stages and the later stage's query *arguments* depend on it, so no
-#: bitwise-faithful execution can fuse across a stage boundary — per-stage
-#: plans are the fusion limit at exact parity.  Plans change transport only
-#: — the serial evaluator runs the identical primitives, and the sharded
-#: merges are the same shard-order folds — so flipping the flag must not
-#: move a byte of any release; tests/test_release_parity.py disables it
-#: (forcing the PR 4 per-query fan-outs) and asserts exactly that.
-_FUSED_QUERY_PLANS = True
-
 #: Whether the backend path *speculates* across noise gates: a noise draw
 #: sits between consecutive stages and the later stage's query arguments
 #: depend on it, so plans cannot fuse across a stage boundary — but the
@@ -277,19 +237,13 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     # is no fan-out to amortise, and attempts past the accepted one would be
     # wasted hashes) and keeps each attempt's label array so the winning
     # partition need not be rehashed in step 7.
-    batch_size = 1
-    if view is not None:
-        batch_size = (config.partition_batch_size
-                      if config.partition_batch_size is not None
-                      else view.batch_size)
-        batch_size = max(1, int(batch_size))
+    batch_size = 1 if view is None else max(1, int(view.batch_size))
 
-    # Speculation rides the shard-side fused-plan path only: predictions are
-    # submitted as plans over BoxSelection predicates, and only strategies
-    # whose submit() genuinely overlaps work opt in.
-    speculate = (view is not None and _SHARD_SIDE_ROTATED_STAGE
-                 and _FUSED_QUERY_PLANS and _SPECULATIVE_PLANS
-                 and getattr(resolved, "supports_speculation", False))
+    # Speculation rides the backend path only: predictions are submitted as
+    # plans over BoxSelection predicates, and only strategies whose submit()
+    # genuinely overlaps work opt in.
+    speculate = (view is not None and _SPECULATIVE_PLANS
+                 and resolved.supports_speculation)
 
     chosen_partition: Optional[ShiftedBoxPartition] = None
     chosen_labels: Optional[np.ndarray] = None
@@ -302,15 +256,13 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         ]
         search_spec = None
         if view is not None:
-            batch_shifts = np.stack([p.shifts for p in batch])
-            if _FUSED_QUERY_PLANS:
-                # One plan per batch: the whole attempt batch is a single
-                # round trip per shard on the sharded backend.
-                plan = QueryPlan()
-                slot = plan.heaviest_cell_counts(view, width, batch_shifts)
-                counts = resolved.execute(plan)[slot]
-            else:
-                counts = view.heaviest_cell_counts(width, batch_shifts)
+            # One plan per batch: the whole attempt batch is a single round
+            # trip per shard on the sharded backend.
+            plan = QueryPlan()
+            slot = plan.heaviest_cell_counts(
+                view, width, np.stack([p.shifts for p in batch])
+            )
+            counts = resolved.execute(plan)[slot]
             labels_batch = [None] * len(batch)
             if speculate:
                 # Predict the accepted attempt: the first whose pre-noise
@@ -325,8 +277,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
                     predicted = int(passing[0])
                     spec_plan = QueryPlan()
                     spec_slot = spec_plan.cell_histogram(
-                        view, width, batch[predicted].shifts,
-                        return_inverse=False,
+                        view, width, batch[predicted].shifts
                     )
                     search_spec = (predicted, spec_slot,
                                    resolved.submit(spec_plan))
@@ -361,36 +312,22 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     # every path, so the per-cell noise draws are bit-identical whether the
     # histogram was counted in-parent or merged across shards.
     # ------------------------------------------------------------------ #
-    # With a backend and the shard-side seam on, the selected set D is
-    # carried through steps 8-11 as a *label predicate* (BoxSelection) — the
-    # parent never materialises a membership mask, a row list, or the
-    # selected coordinates; it only merges the backends' (d,)-shaped
-    # aggregate partials.
-    shard_side = view is not None and _SHARD_SIDE_ROTATED_STAGE
-    cell_positions = None
+    # With a backend, the selected set D is carried through steps 8-11 as a
+    # *label predicate* (BoxSelection) — the parent never materialises a
+    # membership mask, a row list, or the selected coordinates; it only
+    # merges the backends' (d,)-shaped aggregate partials.
     if view is not None:
-        want_inverse = not shard_side
         if spec_histogram is not None:
             # search->box hit: the box histogram is already in hand, computed
-            # from the identical (width, shifts, return_inverse=False)
-            # arguments — speculation only ran on the shard-side path, where
-            # the inverse is never requested.
+            # from the identical (width, shifts) arguments.
             histogram = spec_histogram
-        elif _FUSED_QUERY_PLANS:
+        else:
             plan = QueryPlan()
-            slot = plan.cell_histogram(view, width, chosen_partition.shifts,
-                                       return_inverse=want_inverse)
+            slot = plan.cell_histogram(view, width, chosen_partition.shifts)
             histogram = resolved.execute(plan)[slot]
-        else:
-            histogram = view.cell_histogram(width, chosen_partition.shifts,
-                                            return_inverse=want_inverse)
-        if shard_side:
-            cell_keys, cell_counts = histogram
-        else:
-            cell_keys, cell_counts, cell_positions = histogram
+        cell_keys, cell_counts = histogram
     else:
-        if chosen_labels is None or not _REUSE_SEARCH_LABELS:
-            chosen_labels = chosen_partition.label_array(projected)
+        # The in-parent search already hashed the winning partition.
         cell_keys, cell_counts = first_occurrence_cells(chosen_labels)
     cells = [(tuple(int(index) for index in key), int(count))
              for key, count in zip(cell_keys, cell_counts)]
@@ -449,7 +386,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     selection = None
     selected = None
     spec_stats = None
-    if shard_side:
+    if view is not None:
         # On a box-stage hit the speculative selection *is* the chosen one
         # (same width/shifts/index arguments); reusing it keeps the workers'
         # token-keyed membership memo warm.
@@ -462,17 +399,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         if box_hit and identity_projection:
             spec_stats = (box_spec[3], box_spec[2])
     else:
-        if cell_positions is not None:
-            # The histogram's per-point positions already encode membership,
-            # so the view path needs no second hash pass (or sharded
-            # fan-out).
-            chosen_position = next(
-                slot for slot, (key, _) in enumerate(cells)
-                if key == box_choice.key
-            )
-            in_box = cell_positions == chosen_position
-        else:
-            in_box = np.all(chosen_labels == chosen_index[None, :], axis=1)
+        in_box = np.all(chosen_labels == chosen_index[None, :], axis=1)
         selected = points[in_box]
         selected_count = int(selected.shape[0])
     if selected_count == 0:
@@ -517,7 +444,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         axis_params = PrivacyParams(axis_epsilon, axis_delta)
         axis_rngs = spawn_generators(axis_rng, dimension)
 
-        if shard_side:
+        if view is not None:
             # Steps 8-9 are one plan: every axis histogram of the rotated
             # frame (and the selection's membership derivation) rides a
             # single round trip per shard.  On a box-stage miss the
@@ -528,18 +455,18 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
                           else resolved.view(basis))
             if box_hit:
                 axis_histograms = box_spec[3].result()[box_spec[2]]
-            elif _FUSED_QUERY_PLANS:
+            else:
                 plan = QueryPlan()
                 slot = plan.masked_axis_histograms(frame_view, selection,
                                                    interval_length)
                 axis_histograms = resolved.execute(plan)[slot]
-            else:
-                axis_histograms = frame_view.masked_axis_histograms(
-                    selection, interval_length
-                )
         else:
-            rotated = project_onto_basis(selected, basis)
-            axis_label_matrix = interval_labels(rotated, interval_length)
+            frame_points = project_onto_basis(selected, basis)
+            axis_label_matrix = interval_labels(frame_points, interval_length)
+            axis_histograms = [
+                first_occurrence_cells(axis_label_matrix[:, axis])
+                for axis in range(dimension)
+            ]
 
         # Axes-stage speculation: predict every axis's heavy interval at
         # once (the per-axis argmaxes), derive the bounding sphere those
@@ -548,7 +475,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         # choice to land on its prediction — the sphere depends on all of
         # them.
         axes_spec = None
-        if speculate and shard_side:
+        if speculate:
             pred_lower = np.empty(dimension)
             pred_upper = np.empty(dimension)
             predicted_axis_keys = []
@@ -574,12 +501,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         upper_bounds = np.empty(dimension)
         for axis in range(dimension):
             partition = AxisIntervalPartition(width=interval_length)
-            if shard_side:
-                axis_keys, axis_counts = axis_histograms[axis]
-            else:
-                axis_keys, axis_counts = first_occurrence_cells(
-                    axis_label_matrix[:, axis]
-                )
+            axis_keys, axis_counts = axis_histograms[axis]
             choice = stable_histogram_choice_from_counts(
                 list(zip(axis_keys.tolist(), axis_counts.tolist())),
                 axis_params, rng=axis_rngs[axis],
@@ -608,20 +530,18 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         # -------------------------------------------------------------- #
         sphere_center = (lower_bounds + upper_bounds) / 2.0
         sphere_radius = config.bounding_sphere_radius(interval_length, dimension)
-        if not shard_side:
-            frame_points = rotated
         rotate_back = basis
 
     # ------------------------------------------------------------------ #
     # Steps 10-11: captured count + NoisyAVG of D' in the working frame,
-    # then map back if needed.  The shard-side path hands NoisyAVG the
+    # then map back if needed.  The backend path hands NoisyAVG the
     # merged (count, exact sum) statistics; the in-parent path hands it the
     # raw frame points.  Both funnel into the same release core over the
     # same ball_membership mask and the same exact column sums, so the
     # releases (abstain branch included) are bit-for-bit identical.
     # ------------------------------------------------------------------ #
     avg_params = PrivacyParams(avg_epsilon, quarter_delta)
-    if shard_side:
+    if view is not None:
         # Steps 10-11 are one plan: NoisyAVG's (count, exact sum) statistics
         # arrive in a single round trip per shard.  The sphere's centre
         # depends on the step-9 noise, so this frontier cannot fuse with the
@@ -633,14 +553,11 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
             # predicted sphere is a deterministic function of the predicted
             # choices, which all landed.
             stats = spec_stats[0].result()[spec_stats[1]]
-        elif _FUSED_QUERY_PLANS:
+        else:
             plan = QueryPlan()
             slot = plan.masked_clipped_sum(frame_view, selection,
                                            sphere_center, sphere_radius)
             stats = resolved.execute(plan)[slot]
-        else:
-            stats = frame_view.masked_clipped_sum(selection, sphere_center,
-                                                  sphere_radius)
         captured = int(stats.count)
         average = noisy_average_from_stats(
             stats.count, stats.vector_sum, diameter=2.0 * sphere_radius,

@@ -469,7 +469,7 @@ class ProjectedView:
         shifts = self._check_shifts(shifts, batched=False)
         return box_labels(self.image(), shifts, float(width))
 
-    def cell_histogram(self, width: float, shifts, return_inverse: bool = False):
+    def cell_histogram(self, width: float, shifts):
         """Occupied boxes of one shifted partition, with their counts.
 
         Returns ``(labels, counts)`` where ``labels`` is ``(m, k)`` (one row
@@ -477,24 +477,8 @@ class ProjectedView:
         first occurrence in dataset-row order — the cell order the
         stability-based histogram mechanism needs for bit-identical noise
         draws (see :func:`first_occurrence_cells`).
-
-        With ``return_inverse=True`` a third ``(n,)`` array maps every imaged
-        point to its box's position in ``labels``, so a caller choosing a box
-        from the histogram gets the membership mask as ``inverse == position``
-        without a second hash pass (or, for the sharded view, a second
-        fan-out).
         """
-        labels = self.label_array(width, shifts)
-        if not return_inverse:
-            return first_occurrence_cells(labels)
-        unique, first, inverse, counts = np.unique(
-            labels, axis=0, return_index=True, return_inverse=True,
-            return_counts=True,
-        )
-        order = np.argsort(first, kind="stable")
-        position = np.empty(order.shape[0], dtype=np.int64)
-        position[order] = np.arange(order.shape[0], dtype=np.int64)
-        return unique[order], counts[order], position[np.reshape(inverse, -1)]
+        return first_occurrence_cells(self.label_array(width, shifts))
 
     def label_mask(self, width: float, shifts, label) -> np.ndarray:
         """Boolean mask of the imaged points falling in the box ``label``
@@ -619,12 +603,17 @@ class ProjectedView:
         image = self.image(rows)
         return np.vstack([image.min(axis=0), image.max(axis=0)])
 
-    def masked_clipped_partial(self, selection, center,
-                               clip_radius: float) -> Tuple[int, List[int]]:
-        """The mergeable (fixed-point) form of :meth:`masked_clipped_sum`:
-        ``(count, per-column exact integer sums)``.  Partials from disjoint
-        row ranges merge by integer addition; the sharded view uses this as
-        its wire format."""
+    def masked_clipped_sum(self, selection, center,
+                           clip_radius: float) -> ClippedSum:
+        """NoisyAVG's sufficient statistics, computed over the image.
+
+        Restricts the selection to the image points within ``clip_radius`` of
+        ``center`` (the bounding sphere ``C`` of Algorithm 2, step 10 — the
+        shared :func:`repro.geometry.balls.ball_membership` definition) and
+        returns their count with the exact sum of ``y - center`` — everything
+        step 11's noisy average needs, in ``O(k)`` parent memory.  The sum
+        is accumulated in fixed point and converted once, on the total.
+        """
         from repro.geometry.balls import ball_membership
 
         center = np.asarray(center, dtype=float).reshape(-1)
@@ -636,26 +625,12 @@ class ProjectedView:
         rows = self._selection_rows(selection)
         image = self.image(rows)
         inside = ball_membership(image, center, float(clip_radius))
-        deltas = image[inside] - center[None, :]
-        return int(np.count_nonzero(inside)), fixed_point_column_sums(deltas)
-
-    def masked_clipped_sum(self, selection, center,
-                           clip_radius: float) -> ClippedSum:
-        """NoisyAVG's sufficient statistics, computed over the image.
-
-        Restricts the selection to the image points within ``clip_radius`` of
-        ``center`` (the bounding sphere ``C`` of Algorithm 2, step 10 — the
-        shared :func:`repro.geometry.balls.ball_membership` definition) and
-        returns their count with the exact sum of ``y - center`` — everything
-        step 11's noisy average needs, in ``O(k)`` parent memory.  The one
-        conversion of the fixed-point partial happens here, on the total.
-        """
-        count, totals = self.masked_clipped_partial(selection, center,
-                                                    clip_radius)
+        totals = fixed_point_column_sums(image[inside] - center[None, :])
         vector_sum = np.asarray(
             [fixed_point_to_float(total) for total in totals], dtype=float
         )
-        return ClippedSum(count=count, vector_sum=vector_sum)
+        return ClippedSum(count=int(np.count_nonzero(inside)),
+                          vector_sum=vector_sum)
 
     def masked_axis_histograms(self, selection, width: float,
                                offset: float = 0.0) -> list:
@@ -825,14 +800,14 @@ class QueryPlan:
         return self._append("heaviest_cell_counts", view, None,
                             (float(width), shifts))
 
-    def cell_histogram(self, view: "ProjectedView", width: float, shifts,
-                       return_inverse: bool = False) -> int:
+    def cell_histogram(self, view: "ProjectedView", width: float,
+                       shifts) -> int:
         """Append a :meth:`ProjectedView.cell_histogram` query; returns its
         result slot."""
         view = self._require_view(view)
         shifts = view._check_shifts(shifts, batched=False)
         return self._append("cell_histogram", view, None,
-                            (float(width), shifts, bool(return_inverse)))
+                            (float(width), shifts))
 
     def axis_interval_labels(self, view: "ProjectedView", width: float,
                              offset: float = 0.0, rows=None) -> int:

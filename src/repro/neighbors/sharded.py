@@ -91,7 +91,10 @@ _TASK_DELAY: Optional[Tuple[str, int, float]] = None
 
 #: Every shard sub-query a task may name: the remote node server dispatches
 #: coordinator-supplied method names, so it validates them against this
-#: allowlist (a registry, not ``getattr`` over an open class surface).
+#: allowlist (a registry, not ``getattr`` over an open class surface).  View
+#: queries with a plan operation travel only inside ``execute_plan``; the
+#: view entries here are the two grid hashes without one (``label_array``,
+#: ``label_mask``) and the bounded heaviest-cell merge's escalation rounds.
 SHARD_TASK_METHODS = frozenset({
     "counts",
     "counts_many",
@@ -101,15 +104,8 @@ SHARD_TASK_METHODS = frozenset({
     "execute_plan",
     "view_heaviest_cells",
     "view_count_labels",
-    "view_cell_histogram",
     "view_label_array",
     "view_label_mask",
-    "view_axis_labels",
-    "view_masked_count",
-    "view_masked_sum",
-    "view_masked_minmax",
-    "view_masked_clipped",
-    "view_masked_axis_hists",
 })
 
 
@@ -410,28 +406,19 @@ class _ShardSet:
     def view_cell_histogram(self, shard: int, token: Optional[int],
                             matrix: Optional[np.ndarray],
                             offset: Optional[np.ndarray], width: float,
-                            shifts: np.ndarray, want_inverse: bool,
-                            ) -> Tuple[np.ndarray, ...]:
+                            shifts: np.ndarray) -> Tuple[np.ndarray, ...]:
         """One partition's occupied boxes over this shard: ``(labels, counts,
-        first local row[, per-point local group ids])``.  The
-        first-occurrence rows let the parent restore global first-occurrence
-        cell order, which the stability histogram's noise draws depend on;
-        the optional group ids let it assemble the per-point box index
-        without a second hash pass."""
+        first local row)``.  The first-occurrence rows let the parent
+        restore global first-occurrence cell order, which the stability
+        histogram's noise draws depend on."""
         from repro.geometry.boxes import box_labels
 
         image = self.view_image(shard, token, matrix, offset)
         labels = box_labels(image, np.asarray(shifts, dtype=float), width)
-        if not want_inverse:
-            unique, first, counts = np.unique(
-                labels, axis=0, return_index=True, return_counts=True
-            )
-            return unique, counts, first
-        unique, first, inverse, counts = np.unique(
-            labels, axis=0, return_index=True, return_inverse=True,
-            return_counts=True,
+        unique, first, counts = np.unique(
+            labels, axis=0, return_index=True, return_counts=True
         )
-        return unique, counts, first, np.reshape(inverse, -1)
+        return unique, counts, first
 
     def view_label_array(self, shard: int, token: Optional[int],
                          matrix: Optional[np.ndarray],
@@ -497,31 +484,25 @@ class _ShardSet:
             self._selection_rows[shard] = (sel_token, rows)
         return rows
 
-    def view_masked_count(self, shard: int, spec: tuple) -> int:
-        """This shard's selected-row count."""
-        return int(self._selection_rows_local(shard, spec).shape[0])
-
     def view_masked_sum(self, shard: int, token: Optional[int],
                         matrix: Optional[np.ndarray],
                         offset: Optional[np.ndarray],
-                        spec: tuple) -> Tuple[int, tuple]:
+                        rows: np.ndarray) -> Tuple[int, tuple]:
         """``(count, fixed-point (limb, shift, column) partial arrays)`` of
         this shard's selected image rows — the mergeable partial behind
         :meth:`ProjectedView.masked_sum`.  The wire form is fixed-width
         int64 arrays (producible by the native kernel, cheap to pickle);
         integer addition across shards is exact and associative, so the
         merged total is independent of the shard topology."""
-        rows = self._selection_rows_local(shard, spec)
         image = self.view_image(shard, token, matrix, offset, rows=rows)
         return int(rows.shape[0]), fixed_point_column_partials(image)
 
     def view_masked_minmax(self, shard: int, token: Optional[int],
                            matrix: Optional[np.ndarray],
                            offset: Optional[np.ndarray],
-                           spec: tuple) -> Optional[np.ndarray]:
+                           rows: np.ndarray) -> Optional[np.ndarray]:
         """Per-axis ``(2, k)`` extremes of this shard's selected image rows
         (``None`` when the shard selects nothing — the merge identity)."""
-        rows = self._selection_rows_local(shard, spec)
         if rows.shape[0] == 0:
             return None
         image = self.view_image(shard, token, matrix, offset, rows=rows)
@@ -529,7 +510,7 @@ class _ShardSet:
 
     def view_masked_clipped(self, shard: int, token: Optional[int],
                             matrix: Optional[np.ndarray],
-                            offset: Optional[np.ndarray], spec: tuple,
+                            offset: Optional[np.ndarray], rows: np.ndarray,
                             center: np.ndarray,
                             clip_radius: float) -> Tuple[int, tuple]:
         """NoisyAVG partial: count and fixed-point ``(limb, shift, column)``
@@ -539,7 +520,6 @@ class _ShardSet:
         selection is bitwise the parent's)."""
         from repro.geometry.balls import ball_membership
 
-        rows = self._selection_rows_local(shard, spec)
         image = self.view_image(shard, token, matrix, offset, rows=rows)
         inside = ball_membership(image, center, clip_radius)
         deltas = image[inside] - np.asarray(center, dtype=float)[None, :]
@@ -548,7 +528,7 @@ class _ShardSet:
 
     def view_masked_axis_hists(self, shard: int, token: Optional[int],
                                matrix: Optional[np.ndarray],
-                               offset: Optional[np.ndarray], spec: tuple,
+                               offset: Optional[np.ndarray], rows: np.ndarray,
                                width: float, axis_offset: float,
                                ) -> Tuple[int, list]:
         """Per-axis interval histograms of this shard's selected image rows.
@@ -561,7 +541,6 @@ class _ShardSet:
         """
         from repro.geometry.boxes import interval_labels
 
-        rows = self._selection_rows_local(shard, spec)
         image = self.view_image(shard, token, matrix, offset, rows=rows)
         labels = interval_labels(image, width, axis_offset)
         per_axis = []
@@ -583,12 +562,10 @@ class _ShardSet:
         ``views`` is the plan's view table as ``(token, matrix, offset)``
         wire triples, ``selections`` its selection table in the per-shard
         spec form of :meth:`_selection_rows_local`, and ``queries`` the
-        ordered ``(op, view_slot, selection_slot, args)`` bundle.  Each
-        query's partial is exactly what the corresponding standalone shard
-        sub-query would return — the parent merges them with the same code —
-        but the whole bundle costs *one* task dispatch, each selection's
-        membership is derived at most once (``rows_cache``), and each view's
-        image is projected at most once (the token-keyed image cache).
+        ordered ``(op, view_slot, selection_slot, args)`` bundle.  The whole
+        bundle costs *one* task dispatch, each selection's membership is
+        derived at most once (``rows_cache``), and each view's image is
+        projected at most once (the token-keyed image cache).
         """
         rows_cache: dict = {}
         results = []
@@ -596,31 +573,30 @@ class _ShardSet:
             token = matrix = offset = None
             if view_slot is not None:
                 token, matrix, offset = views[view_slot]
-            spec = None
+            rows = None
             if sel_slot is not None:
                 rows = rows_cache.get(sel_slot)
                 if rows is None:
                     rows = self._selection_rows_local(shard,
                                                       selections[sel_slot])
                     rows_cache[sel_slot] = rows
-                spec = ("rows", rows)
             if op == "masked_count":
-                results.append(int(spec[1].shape[0]))
+                results.append(int(rows.shape[0]))
             elif op == "masked_sum":
                 results.append(self.view_masked_sum(shard, token, matrix,
-                                                    offset, spec))
+                                                    offset, rows))
             elif op == "masked_minmax":
                 results.append(self.view_masked_minmax(shard, token, matrix,
-                                                       offset, spec))
+                                                       offset, rows))
             elif op == "masked_clipped_sum":
                 center, clip_radius = args
                 results.append(self.view_masked_clipped(
-                    shard, token, matrix, offset, spec, center, clip_radius
+                    shard, token, matrix, offset, rows, center, clip_radius
                 ))
             elif op == "masked_axis_histograms":
                 width, axis_offset = args
                 results.append(self.view_masked_axis_hists(
-                    shard, token, matrix, offset, spec, width, axis_offset
+                    shard, token, matrix, offset, rows, width, axis_offset
                 ))
             elif op == "heaviest_cell_counts":
                 width, shifts, top_k = args
@@ -628,9 +604,9 @@ class _ShardSet:
                     shard, token, matrix, offset, width, shifts, top_k
                 ))
             elif op == "cell_histogram":
-                width, shifts, want_inverse = args
+                width, shifts = args
                 results.append(self.view_cell_histogram(
-                    shard, token, matrix, offset, width, shifts, want_inverse
+                    shard, token, matrix, offset, width, shifts
                 ))
             elif op == "axis_interval_labels":
                 width, axis_offset, local_rows = args
@@ -796,11 +772,9 @@ class _StealingBatch:
 # --------------------------------------------------------------------------- #
 # Deterministic shard-order merges
 #
-# Shared by the per-query fan-outs of ``_ShardedView`` and the fused plan
-# execution path: both collect per-shard partials in shard order and fold
-# them through these functions, so a query's result is bitwise the same
-# whether it travelled alone or inside a plan — and independent of worker
-# scheduling, because the fold order is the shard order, never the
+# The plan execution path collects per-shard partials in shard order and
+# folds them through these functions, so a query's result is independent of
+# worker scheduling: the fold order is the shard order, never the
 # completion order.
 # --------------------------------------------------------------------------- #
 
@@ -885,10 +859,9 @@ def _merge_axis_histograms(parts: Sequence[tuple],
 
 def _merge_cell_histogram(parts: Sequence[tuple],
                           bounds: Sequence[Tuple[int, int]],
-                          num_points: int, return_inverse: bool):
+                          num_points: int):
     """Merge per-shard box histograms into global first-occurrence order
-    (optionally with the per-point box positions, see
-    :meth:`~repro.neighbors.base.ProjectedView.cell_histogram`)."""
+    (see :meth:`~repro.neighbors.base.ProjectedView.cell_histogram`)."""
     all_labels = np.concatenate([part[0] for part in parts], axis=0)
     all_counts = np.concatenate([part[1] for part in parts])
     all_firsts = np.concatenate([
@@ -901,20 +874,7 @@ def _merge_cell_histogram(parts: Sequence[tuple],
     first = np.full(unique.shape[0], num_points, dtype=np.int64)
     np.minimum.at(first, group, all_firsts)
     order = np.argsort(first, kind="stable")
-    if not return_inverse:
-        return unique[order], counts[order]
-    # Per-point positions: each shard's local group ids index into its
-    # slice of the concatenated uniques, whose global groups are in
-    # `group`; remap those through the first-occurrence ordering.
-    position = np.empty(order.shape[0], dtype=np.int64)
-    position[order] = np.arange(order.shape[0], dtype=np.int64)
-    point_positions = []
-    offset = 0
-    for part in parts:
-        shard_groups = group[offset:offset + part[0].shape[0]]
-        point_positions.append(position[shard_groups[part[3]]])
-        offset += part[0].shape[0]
-    return unique[order], counts[order], np.concatenate(point_positions)
+    return unique[order], counts[order]
 
 
 class _CompiledPlan:
@@ -1306,19 +1266,12 @@ class ShardedBackend(NeighborBackend):
     # Fan-out / merge
     # ------------------------------------------------------------------ #
     def _map_shards(self, method: str, args: tuple) -> list:
-        """Run ``method(shard, *args)`` for every shard; pool if available."""
-        return self._map_shards_per(method, [args] * self.num_shards)
-
-    def _map_shards_per(self, method: str,
-                        per_shard_args: Sequence[tuple]) -> list:
-        """Like :meth:`_map_shards`, but with per-shard argument tuples (used
-        when each shard receives only its own slice of a payload, e.g. the
-        row subset of a view's axis-label query).  Delegates to the batch
-        entry point :meth:`run_shard_tasks`, so every fan-out goes through
-        the same validation and work-stealing scheduler."""
+        """Run ``method(shard, *args)`` for every shard; pool if available.
+        Delegates to the batch entry point :meth:`run_shard_tasks`, so every
+        fan-out goes through the same validation and work-stealing
+        scheduler."""
         return self.run_shard_tasks([
-            (method, shard, per_shard_args[shard])
-            for shard in range(self.num_shards)
+            (method, shard, args) for shard in range(self.num_shards)
         ])
 
     def _iter_shards(self, method: str, args: tuple, wave: int = None):
@@ -1470,33 +1423,6 @@ class ShardedBackend(NeighborBackend):
         """
         return _ShardedView(self, matrix=matrix, offset=offset)
 
-    def heaviest_cell_counts(self, width: float, shifts) -> np.ndarray:
-        """Heaviest-box occupancy for a batch of shifted partitions.
-
-        For each row of ``shifts`` — the per-axis offsets of one randomly
-        shifted partition of side ``width`` (GoodCenter Algorithm 2, steps
-        3–5) — returns ``max_B |{x in S : x in box B}|``.  Grid hashing is a
-        radius-count in disguise: each shard buckets its own points
-        (bit-identically to a single-process pass) and the parent sums the
-        per-label counts across shards before taking the max.  Equivalent to
-        ``self.view().heaviest_cell_counts(width, shifts)`` (the identity
-        view); kept as a method because the identity case predates views.
-
-        Parameters
-        ----------
-        width:
-            The box side length.
-        shifts:
-            ``(a, d)`` per-attempt shift vectors (a single ``(d,)`` vector is
-            promoted to one attempt).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(a,)`` ``int64`` heaviest-cell counts, one per attempt.
-        """
-        return self.view().heaviest_cell_counts(width, shifts)
-
     # ------------------------------------------------------------------ #
     # Fused query plans (one task per shard per plan)
     # ------------------------------------------------------------------ #
@@ -1593,8 +1519,8 @@ class ShardedBackend(NeighborBackend):
             view_slot = query.view_slot
             if op == "heaviest_cell_counts":
                 width, shifts = query.args
-                top_k = getattr(self, "HEAVIEST_CELL_TOP_K", None)
-                top_k = int(top_k) if top_k else None
+                top_k = (int(self.HEAVIEST_CELL_TOP_K)
+                         if self.HEAVIEST_CELL_TOP_K else None)
                 merges.append((op, len(bundle),
                                (views_wire[view_slot], width, shifts, top_k)))
                 bundle.append((op, view_slot, None, (width, shifts, top_k)))
@@ -1615,8 +1541,7 @@ class ShardedBackend(NeighborBackend):
                                     for piece in slices]))
                 continue
             if op == "cell_histogram":
-                width, shifts, want_inverse = query.args
-                merges.append((op, len(bundle), want_inverse))
+                merges.append((op, len(bundle), None))
                 bundle.append((op, view_slot, None, query.args))
                 continue
             # Masked aggregates: the merge needs the image dimension of the
@@ -1667,11 +1592,11 @@ class ShardedBackend(NeighborBackend):
             elif op == "heaviest_cell_counts":
                 view_wire, width, shifts, top_k = extra
                 results.append(self._heaviest_cell_merge(
-                    view_wire, width, shifts, top_k, first_parts=parts
+                    view_wire, width, shifts, top_k, parts
                 ))
             elif op == "cell_histogram":
                 results.append(_merge_cell_histogram(
-                    parts, self._bounds, self.num_points, extra
+                    parts, self._bounds, self.num_points
                 ))
             elif op == "axis_interval_labels":
                 stacked = np.concatenate(parts, axis=0)
@@ -1693,8 +1618,7 @@ class ShardedBackend(NeighborBackend):
         merges the partials in shard order — bitwise what the serial loop
         produces.  (The one exception is a plan carrying a
         ``heaviest_cell_counts`` query whose bounded top-``k`` merge fails
-        to certify: the exact recount adds fan-outs, exactly as it does for
-        the standalone query.)
+        to certify: the exact recount adds fan-outs.)
         """
         return self.submit(plan).result()
 
@@ -1744,9 +1668,9 @@ class ShardedBackend(NeighborBackend):
 
     def _heaviest_cell_merge(self, view_args: tuple, width: float,
                              shifts: np.ndarray, top_k: Optional[int],
-                             first_parts: Optional[list] = None) -> np.ndarray:
-        """The bounded heaviest-cell merge (shared by the standalone view
-        query and the fused plan path).
+                             first_parts: list) -> np.ndarray:
+        """The bounded heaviest-cell merge of a plan's
+        ``heaviest_cell_counts`` query.
 
         Each shard returns only its ``top_k`` heaviest cells plus a cap (its
         ``top_k``-th largest count, bounding every truncated cell), so the
@@ -1759,16 +1683,15 @@ class ShardedBackend(NeighborBackend):
         the returned maxima (and hence AboveThreshold's query stream) are
         bitwise the full merge's.  Uncertified attempts retry with ``top_k``
         escalated 4x (reaching the untruncated merge in the worst case), so
-        termination is unconditional.  ``first_parts`` seeds round 1 with
-        partials that already arrived inside a fused plan task.
+        termination is unconditional.  ``first_parts`` are round 1's
+        partials, which arrived inside the plan task; escalated rounds fan
+        out ``view_heaviest_cells`` on their own.
         """
         maxima = np.zeros(shifts.shape[0], dtype=np.int64)
         unresolved = np.arange(shifts.shape[0])
+        parts = first_parts
         while unresolved.size:
-            if first_parts is not None:
-                parts = first_parts
-                first_parts = None
-            else:
+            if parts is None:
                 parts = self._map_shards(
                     "view_heaviest_cells",
                     (*view_args, float(width), shifts[unresolved], top_k),
@@ -1812,6 +1735,7 @@ class ShardedBackend(NeighborBackend):
                     else:
                         still.append(attempt)
             unresolved = np.asarray(still, dtype=np.int64)
+            parts = None
             if unresolved.size:
                 top_k = (None if top_k is None or 4 * top_k >= self.num_points
                          else 4 * top_k)
@@ -1819,9 +1743,16 @@ class ShardedBackend(NeighborBackend):
 
 
 class _ShardedView(ProjectedView):
-    """Fan-out implementation of :class:`ProjectedView` for the sharded
-    backend: grid hashes run shard-side (over worker processes when the pool
-    is up), partial histograms merge exactly in the parent."""
+    """Sharded implementation of :class:`ProjectedView`: grid hashes and
+    masked aggregates run shard-side (over worker processes when the pool
+    is up) and their partials merge exactly in the parent.
+
+    Every query with a plan operation travels as a one-query
+    :class:`~repro.neighbors.base.QueryPlan`, so a standalone call and the
+    same query inside a larger plan share one wire form and one merge.
+    ``label_array`` and ``label_mask`` have no plan operation and keep their
+    own fan-outs.
+    """
 
     def __init__(self, backend: ShardedBackend, matrix=None,
                  offset=None) -> None:
@@ -1836,22 +1767,23 @@ class _ShardedView(ProjectedView):
     def batch_size(self) -> int:
         """Partition-search attempts batched per request (amortises the
         per-shard fan-out)."""
-        return int(getattr(self._backend, "HEAVIEST_CELL_BATCH", 8))
+        return int(self._backend.HEAVIEST_CELL_BATCH)
 
     def _view_args(self) -> tuple:
         return (self._token, self._matrix, self._offset)
+
+    def _planned(self, op: str, *args):
+        """Run ``op`` over this view as a one-query plan."""
+        plan = QueryPlan()
+        slot = getattr(plan, op)(self, *args)
+        return self._backend.execute(plan)[slot]
 
     def heaviest_cell_counts(self, width: float, shifts) -> np.ndarray:
         """Heaviest-box occupancy per attempt, via the *bounded* merge (see
         :meth:`ShardedBackend._heaviest_cell_merge` — the shared
         top-``k``-with-exact-recount loop, whose returned maxima are bitwise
         the full merge's)."""
-        shifts = self._check_shifts(shifts, batched=True)
-        top_k = getattr(self._backend, "HEAVIEST_CELL_TOP_K", None)
-        top_k = int(top_k) if top_k else None
-        return self._backend._heaviest_cell_merge(
-            self._view_args(), float(width), shifts, top_k
-        )
+        return self._planned("heaviest_cell_counts", width, shifts)
 
     def label_array(self, width: float, shifts) -> np.ndarray:
         shifts = self._check_shifts(shifts, batched=False)
@@ -1860,15 +1792,8 @@ class _ShardedView(ProjectedView):
         )
         return np.concatenate(parts, axis=0)
 
-    def cell_histogram(self, width: float, shifts,
-                       return_inverse: bool = False):
-        shifts = self._check_shifts(shifts, batched=False)
-        parts = self._backend._map_shards(
-            "view_cell_histogram",
-            (*self._view_args(), float(width), shifts, bool(return_inverse)),
-        )
-        return _merge_cell_histogram(parts, self._backend.shard_bounds,
-                                     self.num_points, bool(return_inverse))
+    def cell_histogram(self, width: float, shifts):
+        return self._planned("cell_histogram", width, shifts)
 
     def label_mask(self, width: float, shifts, label) -> np.ndarray:
         label = np.asarray(label, dtype=np.int64).reshape(-1)
@@ -1886,79 +1811,26 @@ class _ShardedView(ProjectedView):
 
     def axis_interval_labels(self, width: float, offset: float = 0.0,
                              rows=None) -> np.ndarray:
-        if rows is None:
-            parts = self._backend._map_shards(
-                "view_axis_labels",
-                (*self._view_args(), float(width), float(offset), None),
-            )
-            return np.concatenate(parts, axis=0)
-        rows = self._check_rows(rows)
-        # Ship each shard only its own (shard-local) slice of the subset;
-        # results come back shard-major, i.e. in ascending-row order, so a
-        # stable argsort restores the caller's row order afterwards.
-        order, slices = _split_rows_by_shard(rows,
-                                             self._backend.shard_bounds)
-        per_shard = [(*self._view_args(), float(width), float(offset), piece)
-                     for piece in slices]
-        parts = self._backend._map_shards_per("view_axis_labels", per_shard)
-        stacked = np.concatenate(parts, axis=0)
-        result = np.empty_like(stacked)
-        result[order] = stacked
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Masked aggregation (fan-out partials, exact merges)
-    # ------------------------------------------------------------------ #
-    def _selection_specs(self, selection) -> List[tuple]:
-        """Per-shard wire specs of a masked-query selection (see
-        :meth:`ShardedBackend._selection_specs` — shared with the fused plan
-        compiler, so a selection travels identically alone or in a plan)."""
-        return self._backend._selection_specs(selection)
-
-    def _masked_parts(self, method: str, selection, *args) -> list:
-        specs = self._selection_specs(selection)
-        return self._backend._map_shards_per(
-            method,
-            [(*self._view_args(), spec, *args) for spec in specs],
-        )
+        return self._planned("axis_interval_labels", width, offset, rows)
 
     def masked_count(self, selection) -> int:
-        specs = self._selection_specs(selection)
-        parts = self._backend._map_shards_per(
-            "view_masked_count", [(spec,) for spec in specs]
-        )
-        return int(sum(parts))
+        return self._planned("masked_count", selection)
 
     def masked_sum(self, selection) -> np.ndarray:
-        parts = self._masked_parts("view_masked_sum", selection)
-        return _merge_masked_sum(parts, self.image_dimension)
+        return self._planned("masked_sum", selection)
 
     def masked_minmax(self, selection) -> np.ndarray:
-        parts = self._masked_parts("view_masked_minmax", selection)
-        return _merge_minmax(parts, self.image_dimension)
+        return self._planned("masked_minmax", selection)
 
-    def masked_clipped_partial(self, selection, center,
-                               clip_radius: float) -> Tuple[int, List[int]]:
-        center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self.image_dimension:
-            raise ValueError(
-                f"center has dimension {center.shape[0]}, expected "
-                f"{self.image_dimension}"
-            )
-        parts = self._masked_parts("view_masked_clipped", selection, center,
-                                   float(clip_radius))
-        count = int(sum(part[0] for part in parts))
-        return count, merge_column_partials(self.image_dimension,
-                                            [part[1] for part in parts])
+    def masked_clipped_sum(self, selection, center,
+                           clip_radius: float) -> ClippedSum:
+        return self._planned("masked_clipped_sum", selection, center,
+                             clip_radius)
 
     def masked_axis_histograms(self, selection, width: float,
                                offset: float = 0.0) -> list:
-        """Per-axis histograms with the global first-occurrence cell order
-        restored from the shards' local first positions (see
-        :func:`_merge_axis_histograms`, shared with the fused plan path)."""
-        parts = self._masked_parts("view_masked_axis_hists", selection,
-                                   float(width), float(offset))
-        return _merge_axis_histograms(parts, self.image_dimension)
+        return self._planned("masked_axis_histograms", selection, width,
+                             offset)
 
 
 __all__ = ["ShardedBackend"]

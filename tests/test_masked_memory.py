@@ -1,7 +1,7 @@
 """Memory guards for the shard-side rotated stage and the bounded merge.
 
-Two promises from the steps 8-11 migration are checked here with real
-numbers rather than code inspection:
+Two promises of the backend path are checked here with real numbers
+rather than code inspection:
 
 * at ``n >= 20k`` the *parent* process never materialises an ``O(n * d)``
   (or ``O(|selected| * d)``) rotated copy while GoodCenter runs steps 8-11
@@ -16,7 +16,6 @@ Marked ``slow`` (n = 20k work + a real worker pool): these run in the
 dedicated ``-m slow`` CI job, not the tier-1 loop.
 """
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -27,8 +26,6 @@ from repro.core.config import GoodCenterConfig
 from repro.core.good_center import good_center
 from repro.datasets.synthetic import planted_cluster
 from repro.neighbors import DenseBackend, ShardedBackend
-
-good_center_module = sys.modules["repro.core.good_center"]
 
 
 @pytest.mark.slow
@@ -45,47 +42,39 @@ class TestRotatedStageMemoryGuard:
                                cluster_radius=0.05, center=[0.5] * self.D,
                                rng=3).points
 
-    def _run(self, points, backend):
+    def _release(self, points, backend=None):
         # jl_constant=0.3 forces the JL + rotated-axis path at d=8.
-        config = GoodCenterConfig(jl_constant=0.3)
-        backend.radius_counts(0.01)      # warm the pool outside the window
-        tracemalloc.start()
-        try:
-            result = good_center(points, radius=0.05, target=self.TARGET,
-                                 params=PrivacyParams(8.0, 1e-5),
-                                 config=config, rng=5, backend=backend)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return result, peak
+        return good_center(points, radius=0.05, target=self.TARGET,
+                           params=PrivacyParams(8.0, 1e-5),
+                           config=GoodCenterConfig(jl_constant=0.3), rng=5,
+                           backend=backend)
 
-    def test_parent_never_holds_rotated_copy(self, big_cluster, monkeypatch):
+    def test_parent_never_holds_rotated_copy(self, big_cluster):
         points = big_cluster
         rotated_copy_bytes = self.TARGET * self.D * 8
+        # The in-parent reference holds the selected set and its rotation,
+        # so it runs outside the tracemalloc window.
+        reference = self._release(points)
 
         with ShardedBackend(points, num_shards=4, num_workers=2) as backend:
-            result, shard_side_peak = self._run(points, backend)
+            backend.radius_counts(0.01)  # warm the pool outside the window
+            tracemalloc.start()
+            try:
+                result = self._release(points, backend)
+                _, shard_side_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert result.found
         assert result.projected_dimension < self.D     # rotated stage ran
         assert result.captured_count >= self.TARGET
-
-        # The historical in-parent stage (seam off) holds the selected set,
-        # its rotation, the label matrix and the membership arrays — several
-        # rotated-copy multiples.
-        monkeypatch.setattr(good_center_module, "_SHARD_SIDE_ROTATED_STAGE",
-                            False)
-        with ShardedBackend(points, num_shards=4, num_workers=2) as backend:
-            historical, historical_peak = self._run(points, backend)
-        monkeypatch.setattr(good_center_module, "_SHARD_SIDE_ROTATED_STAGE",
-                            True)
-        # Identical release either way (the parity contract), wildly
-        # different parent footprints.
-        assert np.array_equal(historical.center, result.center)
-        assert historical_peak > 2 * rotated_copy_bytes
-        assert shard_side_peak < rotated_copy_bytes / 2
-        assert shard_side_peak * 8 < historical_peak, (
-            f"shard-side stage peaked at {shard_side_peak / 1e6:.2f} MB vs "
-            f"{historical_peak / 1e6:.2f} MB in-parent"
+        # Identical release (the parity contract) without the parent ever
+        # holding a rotated copy.
+        assert np.array_equal(result.center, reference.center)
+        assert result.radius_bound == reference.radius_bound
+        assert result.captured_count == reference.captured_count
+        assert shard_side_peak < rotated_copy_bytes / 2, (
+            f"shard-side stage peaked at {shard_side_peak / 1e6:.2f} MB; a "
+            f"rotated copy is {rotated_copy_bytes / 1e6:.2f} MB"
         )
 
 
@@ -134,13 +123,21 @@ class TestHeaviestCellMergeGuard:
         assert reference[0] == 10      # the split cell, heaviest only merged
         backend = ShardedBackend(points, num_shards=2, num_workers=0)
         calls = []
-        original = backend._map_shards
+        shards = backend._shards
 
-        def spy(method, args):
-            calls.append(method)
-            return original(method, args)
+        def spy(method):
+            original = getattr(shards, method)
 
-        backend._map_shards = spy
+            def counted(shard, *args):
+                if shard == 0:          # one entry per merge round
+                    calls.append(method)
+                return original(shard, *args)
+            return counted
+
+        # Round 1 arrives inside the plan task, escalations as fan-outs;
+        # both reach the shard set's methods, so spy there.
+        for method in ("view_heaviest_cells", "view_count_labels"):
+            setattr(shards, method, spy(method))
         backend.HEAVIEST_CELL_TOP_K = 2
         got = backend.view().heaviest_cell_counts(1.0, np.zeros((1, 1)))
         assert np.array_equal(got, reference)

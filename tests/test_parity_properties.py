@@ -223,22 +223,6 @@ class TestViewParity:
             assert np.array_equal(
                 view.label_mask(width, shifts[0], chosen), reference_mask
             ), (name, scenario)
-            # return_inverse: positions reconstruct every point's label and
-            # encode the membership mask without a second hash pass.
-            inv_labels, inv_counts, positions = view.cell_histogram(
-                width, shifts[0], return_inverse=True
-            )
-            assert np.array_equal(inv_labels, reference_hist[0]), (name,
-                                                                   scenario)
-            assert np.array_equal(inv_counts, reference_hist[1]), (name,
-                                                                   scenario)
-            assert np.array_equal(inv_labels[positions], reference_labels), (
-                name, scenario)
-            chosen_position = int(np.flatnonzero(
-                np.all(reference_hist[0] == chosen[None, :], axis=1)
-            )[0])
-            assert np.array_equal(positions == chosen_position,
-                                  reference_mask), (name, scenario)
             assert np.array_equal(
                 view.axis_interval_labels(width, rows=rows), reference_axis
             ), (name, scenario)

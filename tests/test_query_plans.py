@@ -13,9 +13,7 @@ Three contracts are pinned here:
   NoisyAVG statistics) each cost exactly one fan-out.
 * **Async determinism.**  ``submit`` overlaps plans without moving a bit:
   futures resolve to the same values as synchronous ``execute`` no matter
-  how many are in flight or in which order they are resolved, and the
-  releases of plan-driven algorithms are bitwise those of the per-query
-  fan-out path (the ``_FUSED_QUERY_PLANS`` seam).
+  how many are in flight or in which order they are resolved.
 """
 
 import sys
@@ -87,8 +85,7 @@ def build_plan(backend, fx):
                                            1.5),
         "hists": plan.masked_axis_histograms(frame, selection, 0.4),
         "heaviest": plan.heaviest_cell_counts(search, fx["width"], batch),
-        "cell": plan.cell_histogram(search, fx["width"], fx["shifts"],
-                                    return_inverse=True),
+        "cell": plan.cell_histogram(search, fx["width"], fx["shifts"]),
         "axis": plan.axis_interval_labels(frame, 0.4, rows=fx["rows"]),
         "grid": plan.count_within_many(fx["points"][:5], [0.4, 1.1]),
         "scores": plan.capped_average_scores([0.3, 0.8], 40),
@@ -110,8 +107,7 @@ def reference_results(fx):
         "clipped": frame.masked_clipped_sum(rows, fx["center"], 1.5),
         "hists": frame.masked_axis_histograms(rows, 0.4),
         "heaviest": search.heaviest_cell_counts(fx["width"], batch),
-        "cell": search.cell_histogram(fx["width"], fx["shifts"],
-                                      return_inverse=True),
+        "cell": search.cell_histogram(fx["width"], fx["shifts"]),
         "axis": frame.axis_interval_labels(0.4, rows=rows),
         "grid": backend.count_within_many(fx["points"][:5], [0.4, 1.1]),
         "scores": backend.capped_average_scores([0.3, 0.8], 40),
@@ -521,38 +517,3 @@ class TestKClusterAsyncCoverage:
         backend = BACKENDS["chunked"](points)
         future = submit_coverage_counts(backend, result.balls)
         assert coverage_counts_result(future) == result.ball_coverages
-
-
-class TestFusedPlanSeam:
-    """_FUSED_QUERY_PLANS off forces the PR 4 per-query fan-outs; releases
-    must not move a byte (the transport-only contract)."""
-
-    def test_unfused_issues_more_fanouts_same_release(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        dimension = 8
-        center = np.full(dimension, 0.5)
-        points = np.vstack([
-            center + rng.normal(0, 0.015, size=(900, dimension)),
-            rng.uniform(0, 1, size=(300, dimension)),
-        ])
-        config = GoodCenterConfig(jl_constant=0.3)
-        params = PrivacyParams(16.0, 1e-4)
-
-        def run():
-            backend = ShardedBackend(points, num_shards=3, num_workers=0)
-            backend.HEAVIEST_CELL_TOP_K = None
-            result = good_center(points, radius=0.1, target=700,
-                                 params=params, config=config, rng=1,
-                                 backend=backend)
-            return result, backend.pool_stats()
-
-        fused_result, fused_stats = run()
-        monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS", False)
-        unfused_result, unfused_stats = run()
-        monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS", True)
-        assert fused_result.found and unfused_result.found
-        assert np.array_equal(fused_result.center, unfused_result.center)
-        assert fused_result.radius_bound == unfused_result.radius_bound
-        assert fused_result.attempts == unfused_result.attempts
-        assert unfused_stats["plans"] == 0
-        assert unfused_stats["fanouts"] >= fused_stats["fanouts"]

@@ -10,8 +10,6 @@ the in-parent reference at fixed seeds; the low-level query parity behind it
 is covered property-style in ``test_parity_properties.py``.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -20,11 +18,7 @@ from repro.core.config import GoodCenterConfig, OneClusterConfig
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.core.one_cluster import one_cluster
-
-# The repro.core package rebinds the name ``good_center`` to the function, so
-# the module object (whose _REUSE_SEARCH_LABELS seam the reuse test flips)
-# must be fetched from sys.modules.
-good_center_module = sys.modules["repro.core.good_center"]
+from repro.neighbors import ShardedBackend
 
 
 @pytest.fixture(scope="module")
@@ -90,36 +84,16 @@ class TestGoodCenterReleaseParity:
         reference = good_center(points, radius=0.1, target=700,
                                 params=GENEROUS, config=JL_CONFIG, rng=2)
         for batch in (1, 3, 16):
-            config = GoodCenterConfig(jl_constant=0.3,
-                                      partition_batch_size=batch)
+            backend = ShardedBackend(points, num_shards=3, num_workers=0)
+            backend.HEAVIEST_CELL_BATCH = batch
+            assert backend.view().batch_size == batch
             result = good_center(points, radius=0.1, target=700,
-                                 params=GENEROUS, config=config, rng=2,
-                                 backend="chunked")
+                                 params=GENEROUS, config=JL_CONFIG, rng=2,
+                                 backend=backend)
             assert_same_center_release(reference, result)
 
 
 class TestStep7LabelReuse:
-    def test_release_byte_identical_with_and_without_reuse(
-            self, medium_cluster_data, jl_cluster_points, monkeypatch):
-        """The step-7 fix: the in-parent search hands its winning attempt's
-        label array to the box choice instead of rehashing the projected
-        points.  Disabling the reuse (forcing the historical recompute) must
-        not move a byte of the release — on either projection path."""
-        cases = [
-            (medium_cluster_data.points, 0.05, 400, LOOSE, None),
-            (jl_cluster_points, 0.1, 700, GENEROUS, JL_CONFIG),
-        ]
-        for points, radius, target, params, config in cases:
-            with_reuse = good_center(points, radius=radius, target=target,
-                                     params=params, config=config, rng=7)
-            monkeypatch.setattr(good_center_module, "_REUSE_SEARCH_LABELS",
-                                False)
-            without_reuse = good_center(points, radius=radius, target=target,
-                                        params=params, config=config, rng=7)
-            monkeypatch.setattr(good_center_module, "_REUSE_SEARCH_LABELS",
-                                True)
-            assert_same_center_release(with_reuse, without_reuse)
-
     def test_search_does_not_rehash_for_step_7(self, medium_cluster_data,
                                                monkeypatch):
         """label_array runs once per search attempt and never again: step 7
@@ -141,42 +115,18 @@ class TestStep7LabelReuse:
 
 
 class TestRotatedStageMigration:
-    """The steps 8-11 migration seam: with a backend, the rotated stage runs
-    shard-side (label-predicate selection, merged per-axis histograms,
-    NoisyAVG from merged exact-sum statistics).  Disabling the seam forces
-    the historical in-parent rotated stage; because the merged statistics
-    are canonical (exact fixed-point sums, first-occurrence histogram
-    order), flipping the flag must not move a byte of any release — on
-    either projection path, on every backend."""
-
-    def test_release_byte_identical_with_and_without_shard_side(
-            self, medium_cluster_data, jl_cluster_points, neighbor_backend,
-            monkeypatch):
-        cases = [
-            (medium_cluster_data.points, 0.05, 400, LOOSE, None),
-            (jl_cluster_points, 0.1, 700, GENEROUS, JL_CONFIG),
-        ]
-        for points, radius, target, params, config in cases:
-            backend = neighbor_backend(points)
-            shard_side = good_center(points, radius=radius, target=target,
-                                     params=params, config=config, rng=7,
-                                     backend=backend)
-            monkeypatch.setattr(good_center_module,
-                                "_SHARD_SIDE_ROTATED_STAGE", False)
-            in_parent = good_center(points, radius=radius, target=target,
-                                    params=params, config=config, rng=7,
-                                    backend=backend)
-            monkeypatch.setattr(good_center_module,
-                                "_SHARD_SIDE_ROTATED_STAGE", True)
-            assert_same_center_release(in_parent, shard_side)
+    """With a backend, the rotated stage runs shard-side (label-predicate
+    selection, merged per-axis histograms, NoisyAVG from merged exact-sum
+    statistics); the merged statistics are canonical (exact fixed-point
+    sums, first-occurrence histogram order), so releases match the
+    in-parent reference bit for bit."""
 
     def test_noisy_avg_abstain_branch_parity(self, jl_cluster_points,
-                                             neighbor_backend, monkeypatch):
+                                             neighbor_backend):
         """Starving NoisyAVG's budget slice makes its pessimistic count go
         non-positive, so GoodCenter reaches step 11 and abstains.  The
         abstain decision depends on the merged selected count and the
-        Laplace draw — both must match the in-parent path bit for bit, on
-        both seam settings."""
+        Laplace draw — both must match the in-parent path bit for bit."""
         starved = GoodCenterConfig(jl_constant=0.3,
                                    budget_split=(0.4, 0.4, 0.15, 0.001))
         points = jl_cluster_points
@@ -187,46 +137,10 @@ class TestRotatedStageMigration:
         control = good_center(points, radius=0.1, target=700, params=GENEROUS,
                               config=JL_CONFIG, rng=4)
         assert control.found
-        for shard_side in (True, False):
-            monkeypatch.setattr(good_center_module,
-                                "_SHARD_SIDE_ROTATED_STAGE", shard_side)
-            result = good_center(points, radius=0.1, target=700,
-                                 params=GENEROUS, config=starved, rng=4,
-                                 backend=neighbor_backend(points))
-            assert_same_center_release(reference, result)
-        monkeypatch.setattr(good_center_module, "_SHARD_SIDE_ROTATED_STAGE",
-                            True)
-
-
-class TestFusedPlanSeam:
-    """The PR 5 migration seam: with a backend, every GoodCenter stage rides
-    a fused :class:`~repro.neighbors.QueryPlan` (one round trip per shard
-    per stage).  Disabling the seam forces the PR 4 per-query fan-outs;
-    because plans change transport only — the serial evaluator runs the
-    identical primitives and the sharded merges are the same shard-order
-    folds — flipping the flag must not move a byte of any release, on
-    either projection path, on every backend."""
-
-    def test_release_byte_identical_with_and_without_plans(
-            self, medium_cluster_data, jl_cluster_points, neighbor_backend,
-            monkeypatch):
-        cases = [
-            (medium_cluster_data.points, 0.05, 400, LOOSE, None),
-            (jl_cluster_points, 0.1, 700, GENEROUS, JL_CONFIG),
-        ]
-        for points, radius, target, params, config in cases:
-            backend = neighbor_backend(points)
-            fused = good_center(points, radius=radius, target=target,
-                                params=params, config=config, rng=7,
-                                backend=backend)
-            monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS",
-                                False)
-            unfused = good_center(points, radius=radius, target=target,
-                                  params=params, config=config, rng=7,
-                                  backend=backend)
-            monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS",
-                                True)
-            assert_same_center_release(fused, unfused)
+        result = good_center(points, radius=0.1, target=700,
+                             params=GENEROUS, config=starved, rng=4,
+                             backend=neighbor_backend(points))
+        assert_same_center_release(reference, result)
 
 
 class TestGoodRadiusReleaseParity:

@@ -193,7 +193,7 @@ class TestProcessPool:
         expected = np.array([p.heaviest_cell_count(points) for p in partitions])
         with ShardedBackend(points, num_shards=4, num_workers=2) as backend:
             assert np.array_equal(
-                backend.heaviest_cell_counts(1.7, shifts), expected
+                backend.view().heaviest_cell_counts(1.7, shifts), expected
             )
 
     def test_projected_view_pool(self):
@@ -229,12 +229,9 @@ class TestProcessPool:
             assert np.array_equal(
                 view.heaviest_cell_counts(width, shifts), expected_counts
             )
-            hist_labels, hist_counts, positions = view.cell_histogram(
-                width, shifts[0], return_inverse=True
-            )
+            hist_labels, hist_counts = view.cell_histogram(width, shifts[0])
             assert np.array_equal(hist_labels, unique[order])
             assert np.array_equal(hist_counts, counts[order])
-            assert np.array_equal(positions == 0, expected_mask)
             assert np.array_equal(
                 view.label_mask(width, shifts[0], chosen), expected_mask
             )
@@ -370,14 +367,14 @@ class TestHeaviestCells:
             partition = ShiftedBoxPartition(
                 dimension=points.shape[1], width=0.9, rng=seed
             )
-            assert backend.heaviest_cell_counts(
+            assert backend.view().heaviest_cell_counts(
                 0.9, partition.shifts
             )[0] == partition.heaviest_cell_count(points)
 
     def test_dimension_mismatch_rejected(self):
         backend = ShardedBackend(DATASETS["random-2d"], num_workers=0)
         with pytest.raises(ValueError):
-            backend.heaviest_cell_counts(1.0, np.zeros((2, 5)))
+            backend.view().heaviest_cell_counts(1.0, np.zeros((2, 5)))
 
 
 class TestStreamingProfile:
@@ -484,6 +481,35 @@ class TestSelectionAndConfig:
         assert bounds[0][0] == 0 and bounds[-1][1] == points.shape[0]
         for (_, high), (low, _) in zip(bounds, bounds[1:]):
             assert high == low
+
+
+class TestShardTaskAllowlist:
+    """The node wire accepts exactly the shard ops that have no plan
+    transport: every view query with a plan operation travels only inside
+    ``execute_plan``, so a retired standalone op must stay off the
+    allowlist a node server dispatches against."""
+
+    RETIRED = ("view_cell_histogram", "view_axis_labels", "view_masked_count",
+               "view_masked_sum", "view_masked_minmax", "view_masked_clipped",
+               "view_masked_axis_hists")
+
+    def test_allowlist_is_the_ten_op_set(self):
+        from repro.neighbors.sharded import SHARD_TASK_METHODS
+
+        assert SHARD_TASK_METHODS == {
+            "counts", "counts_many", "depth_counts", "truncated",
+            "histograms", "execute_plan", "view_heaviest_cells",
+            "view_count_labels", "view_label_array", "view_label_mask",
+        }
+
+    @pytest.mark.parametrize("method", RETIRED)
+    def test_every_retired_op_rejected(self, method):
+        backend = ShardedBackend(DATASETS["random-2d"], num_shards=2,
+                                 num_workers=0)
+        with pytest.raises(ValueError, match="unknown shard task method"):
+            backend.run_shard_tasks([(method, 0, ())])
+        with pytest.raises(ValueError, match="unknown shard task method"):
+            backend._shards.run(method, 0, ())
 
 
 class TestPrivatePipelineParity:
