@@ -115,7 +115,7 @@ class RadiusScore:
         -------
         numpy.ndarray
             ``(m,)`` float scores in the order supplied, evaluated in one
-            batched backend call (one merge-walk / streaming pass for the
+            batched backend call (one column-search / streaming pass for the
             whole grid).
         """
         return self.submit(radii).result()[0]
@@ -126,7 +126,7 @@ class RadiusScore:
         Returns a :class:`~repro.neighbors.PlanFuture` whose ``result()``
         holds ``[scores]``, bitwise identical to :meth:`evaluate`.  Note
         that ``capped_average_scores`` is a *coordinator* plan operation —
-        its merge-walk / streaming evaluation runs before ``submit``
+        its column-search / streaming evaluation runs before ``submit``
         returns, on every backend — so this is the uniform plan-carriage
         form of the batch (instrumentation, future-based hand-over), not a
         way to overlap two profile evaluations.
@@ -251,7 +251,7 @@ def good_radius(points, target: int, params: PrivacyParams, beta: float = 0.1,
         # One fused backend call for L(r) and L(r/2), riding a single-query
         # plan (RadiusScore.evaluate): each radius is scored independently
         # inside the profile walk, so batching never changes a value — it
-        # halves the merge-walk passes (and, for the sharded backend, the
+        # halves the profile passes (and, for the sharded backend, the
         # per-shard round trips).
         values = score.evaluate(np.concatenate([radii, radii / 2.0]))
         values_at_r = values[:radii.shape[0]]

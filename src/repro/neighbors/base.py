@@ -24,9 +24,14 @@ scipy's KD-tree convention so every backend returns identical integer counts;
 see :mod:`repro.neighbors._distance`.
 
 The derived profile evaluation never materialises an ``(n, m)`` count matrix.
-Small targets merge-walk the globally sorted truncated squared distances
-against the sorted radii, maintaining a histogram of capped counts —
-``O(n k log(nk) + m (n + k))`` time, ``O(n k)`` memory for ``m`` radii.
+Because each row of the truncated matrix ``T`` is sorted, a point's capped
+count at radius ``r`` is at least ``c`` exactly when ``T[i, c-1] <= r*r``,
+so the top-``t`` sum of capped counts is
+``sum_c min(#{i : T[i, c-1] <= r*r}, t)``.  Small targets sort each column
+of ``T`` once per dataset (``O(n k log n)``, cached at the largest ``k``
+seen, so a smaller target reads a prefix) and score a grid of ``m`` radii
+with one binary search per column and radius — ``O(k m log n)`` per grid,
+``O(n k)`` memory.
 Large targets (by default ``t > n/2`` at ``n >= 8192``) switch to a
 radii-chunked *streaming* walk that recomputes blocked distance passes per
 radius chunk and persists nothing — ``O(n * block + chunk * t)`` memory at
@@ -89,80 +94,52 @@ class BackendUnavailableError(RuntimeError):
     """
 
 
-def _score_from_histogram(histogram: np.ndarray, target: int,
-                          descending_values: np.ndarray) -> float:
-    """Top-``target`` mean from one capped-count histogram.
-
-    The single counting-sort walk both evaluation paths share (so the
-    persisted and streaming profiles stay bit-identical by construction):
-    take as many of the largest capped values as the histogram holds, until
-    ``target`` values are taken.
-
-    Parameters
-    ----------
-    histogram:
-        ``(cap + 1,)`` ``int64`` histogram of capped counts.
-    target:
-        The number of top values averaged (the paper's ``t``).
-    descending_values:
-        ``arange(cap, -1, -1)`` — passed in so batch callers allocate it
-        once.
-
-    Returns
-    -------
-    float
-        ``L(r, S)`` at the histogram's radius.
-    """
-    taken = np.minimum(np.cumsum(histogram[::-1]), target)
-    per_value = np.diff(taken, prepend=0)
-    return float(per_value @ descending_values) / target
-
-
-def _scores_from_histograms(histograms: np.ndarray, cap: int,
+def _scores_from_histograms(histograms: np.ndarray,
                             target: int) -> np.ndarray:
-    """``L(r, S)`` per radius from ``(m, cap + 1)`` capped-count histograms
-    (see :func:`_score_from_histogram`)."""
-    descending_values = np.arange(cap, -1, -1, dtype=np.int64)
-    scores = np.empty(histograms.shape[0], dtype=float)
-    for slot in range(histograms.shape[0]):
-        scores[slot] = _score_from_histogram(histograms[slot], target,
-                                             descending_values)
-    return scores
+    """``L(r, S)`` per radius from ``(m, cap + 1)`` capped-count histograms.
 
-
-def _capped_profile(sorted_values: np.ndarray, rows: np.ndarray, n: int,
-                    k: int, radii: np.ndarray, target: int) -> np.ndarray:
-    """``L(r, S)`` at every radius, from globally sorted truncated distances.
-
-    The truncated matrix holds each point's ``k = min(target, n)`` smallest
-    squared distances (including the self-distance 0), so the number of a
-    row's entries ``<= r*r`` *is* the capped count ``min(B_r(x), target)``.
-    Radii are processed in sorted order; the global sort of all ``n * k``
-    truncated values (``sorted_values``, with ``rows`` recording which point
-    each entry belongs to) lets the per-point counts be updated incrementally
-    with one ``bincount`` per radius segment, and the top-``target`` mean is
-    read off a histogram of the capped counts (counting sort) instead of
-    partitioning an ``(n, m)`` matrix.
+    The streaming path's form of the identity :func:`_column_profile`
+    evaluates: the top-``target`` sum of capped counts is
+    ``sum_{c >= 1} min(#{i : count_i >= c}, target)``, and
+    ``#{i : count_i >= c}`` is the reverse cumulative sum of a histogram at
+    ``c``.  Both paths sum the same integers and divide once, so their
+    scores are bit-identical.
     """
-    keys = _squared_radii(radii)
+    # Column j of the reversed cumulative sum counts points >= cap - j, so
+    # the last column (c = 0) is dropped.
+    at_least = np.cumsum(histograms[:, ::-1], axis=1)
+    np.minimum(at_least, target, out=at_least)
+    return at_least[:, :-1].sum(axis=1) / target
+
+
+def _column_profile(columns: np.ndarray, keys: np.ndarray,
+                    target: int) -> np.ndarray:
+    """``L(r, S)`` at every squared-radius key, from sorted truncated columns.
+
+    ``columns[c]`` is column ``c`` of the row-sorted truncated matrix ``T``
+    (each point's ``k = min(target, n)`` smallest squared distances,
+    including the self-distance 0), sorted ascending.  Because rows of ``T``
+    are sorted, a point's capped count at key ``r*r`` is at least ``c``
+    exactly when ``T[i, c - 1] <= r*r``, so the top-``target`` sum of capped
+    counts is ``sum_c min(#{i : T[i, c - 1] <= r*r}, target)`` — one binary
+    search per column and key, with no per-point state and no loop over
+    radii.  The sum is an exact ``int64``; dividing it once by ``target``
+    gives the score.  Column minima never decrease with ``c``, so the walk
+    stops at the first column no key reaches.
+    """
     order = np.argsort(keys, kind="stable")
-    positions = np.searchsorted(sorted_values, keys[order], side="right")
-
-    counts = np.zeros(n, dtype=np.int64)
-    scores = np.empty(radii.shape[0], dtype=float)
-    descending_values = np.arange(k, -1, -1, dtype=np.int64)
-    consumed = 0
-    for slot, position in enumerate(positions):
-        if position > consumed:
-            counts += np.bincount(rows[consumed:position], minlength=n)
-            consumed = position
-        histogram = np.bincount(counts, minlength=k + 1)
-        scores[slot] = _score_from_histogram(histogram, target,
-                                             descending_values)
-
-    result = np.empty_like(scores)
-    result[order] = scores
-    return result
+    sorted_keys = keys[order]
+    totals = np.zeros(keys.shape[0], dtype=np.int64)
+    for column in columns:
+        # Keys below the column's minimum count nothing in it.
+        low = np.searchsorted(sorted_keys, column[0], side="left")
+        if low == sorted_keys.shape[0]:
+            break
+        counts = np.searchsorted(column, sorted_keys[low:], side="right")
+        totals[low:] += np.minimum(counts, target)
+    scores = np.empty(keys.shape[0], dtype=float)
+    scores[order] = totals / target
+    return scores
 
 
 def depth_count_pairs(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -675,8 +652,8 @@ VIEW_PLAN_OPS = MASKED_PLAN_OPS | frozenset({
 #: Whole-dataset plan operations answered by the backend itself.
 #: ``count_within_many`` and ``depth_counts`` decompose into per-shard
 #: partials and join the single fused round trip; ``capped_average_scores``
-#: is a *coordinator* operation (its merge-walk / streaming evaluation runs
-#: its own internal fan-outs) carried in a plan so score batches ride the
+#: is a *coordinator* operation (its column-search / streaming evaluation
+#: runs its own internal fan-outs) carried in a plan so score batches ride the
 #: same submission and instrumentation path.
 BACKEND_PLAN_OPS = frozenset({
     "count_within_many", "capped_average_scores", "depth_counts",
@@ -881,8 +858,9 @@ class QueryPlan:
                               streaming: Optional[bool] = None) -> int:
         """Append a :meth:`NeighborBackend.capped_average_scores` batch (the
         GoodRadius score profile); returns its result slot.  A *coordinator*
-        operation: its merge-walk / streaming evaluation runs the backend's
-        own internal fan-outs rather than joining the per-shard bundle."""
+        operation: its column-search / streaming evaluation runs the
+        backend's own internal fan-outs rather than joining the per-shard
+        bundle."""
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         target = check_integer(target, "target", minimum=1)
         return self._append("capped_average_scores", None, None,
@@ -946,8 +924,10 @@ class NeighborBackend(abc.ABC):
 
     def __init__(self, points) -> None:
         self._points = check_points(points)
-        self._truncated_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._flat_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        #: ``(k, truncated, sorted_columns)`` at the largest ``k`` seen; the
+        #: sorted columns are built on the first persisted profile.
+        self._truncated_cache: Optional[
+            Tuple[int, np.ndarray, Optional[np.ndarray]]] = None
         #: Per-stage speculative-execution accounting, recorded by callers
         #: (GoodCenter's noise-gate predictor) via :meth:`record_speculation`.
         self._speculation: Dict[str, Dict[str, int]] = {}
@@ -1192,8 +1172,8 @@ class NeighborBackend(abc.ABC):
         k = check_integer(k, "k", minimum=1)
         k = min(k, self.num_points)
         if self._truncated_cache is None or self._truncated_cache[0] < k:
-            self._truncated_cache = (k, self._compute_truncated_squared(k))
-            self._flat_cache = None
+            self._truncated_cache = (k, self._compute_truncated_squared(k),
+                                     None)
         return self._truncated_cache[1][:, :k]
 
     def kth_distances(self, k: int) -> np.ndarray:
@@ -1244,8 +1224,12 @@ class NeighborBackend(abc.ABC):
         Two exact evaluation strategies are available:
 
         * **Persisted** (the default for small targets): cache each point's
-          ``min(target, n)`` smallest squared distances and merge-walk the
-          globally sorted statistic against the sorted radii.  ``O(n * t)``
+          ``min(target, n)`` smallest squared distances with each column of
+          that row-sorted statistic sorted, and sum, over the columns, the
+          number of points whose column entry is within each radius (capped
+          at ``target``) — see :func:`_column_profile`.  ``O(n t log n)``
+          once per dataset (a smaller target reuses a larger target's
+          columns), ``O(t m log n)`` per grid of ``m`` radii, ``O(n * t)``
           memory — a large win when ``target << n``.
         * **Streaming** (the default for large targets): never persist the
           statistic; process the radii in chunks and recompute blocked
@@ -1286,8 +1270,8 @@ class NeighborBackend(abc.ABC):
                          and target > STREAMING_TARGET_FRACTION * n)
         if streaming:
             return self._streaming_profile(radii, target)
-        sorted_values, rows, k = self._sorted_flat(min(target, n))
-        return _capped_profile(sorted_values, rows, n, k, radii, target)
+        return _column_profile(self._sorted_columns(target),
+                               _squared_radii(radii), target)
 
     def capped_average_score(self, radius: float, target: int) -> float:
         """``L(radius, S)`` for a single radius (see
@@ -1324,7 +1308,7 @@ class NeighborBackend(abc.ABC):
                 keys[start:start + sweep], cap
             )
             scores[start:start + sweep] = _scores_from_histograms(
-                histograms, cap, target
+                histograms, target
             )
         return scores
 
@@ -1337,18 +1321,18 @@ class NeighborBackend(abc.ABC):
         return capped_count_histograms(self._points, self._points, keys, cap,
                                        block)
 
-    def _sorted_flat(self, k: int):
-        """Globally sorted truncated squared distances + row ids, cached."""
-        truncated = self.truncated_squared(k)
-        k = truncated.shape[1]
-        if self._flat_cache is None or self._flat_cache[0] != k:
-            flat = truncated.ravel()
-            flat_order = np.argsort(flat, kind="stable")
-            rows = flat_order // k
-            if flat.size < 2 ** 31:
-                rows = rows.astype(np.int32)
-            self._flat_cache = (k, flat[flat_order], rows)
-        return self._flat_cache[1], self._flat_cache[2], k
+    def _sorted_columns(self, k: int) -> np.ndarray:
+        """``(k, n)``: the first ``k`` columns of the truncated statistic,
+        each sorted ascending.  Sorted once at the largest ``k`` seen, so a
+        smaller target reads a prefix and alternating targets never
+        re-sort."""
+        self.truncated_squared(k)
+        cached_k, truncated, columns = self._truncated_cache
+        if columns is None:
+            columns = np.ascontiguousarray(truncated.T)
+            columns.sort(axis=1)
+            self._truncated_cache = (cached_k, truncated, columns)
+        return columns[:k]
 
 
 __all__ = [

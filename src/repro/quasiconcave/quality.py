@@ -12,7 +12,7 @@ amortise their per-call cost).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +66,50 @@ class ArrayQuality(QualityFunction):
         return self._scores[np.asarray(indices, dtype=np.int64)]
 
 
-class CallableQuality(QualityFunction):
+class _MemoisedQuality(QualityFunction):
+    """The memo :class:`CallableQuality` and :class:`PlanQuality` share.
+
+    One float slot and one "known" flag per candidate index, so the
+    solvers' repeated batch lookups (RecConcave reads every interval
+    endpoint at every dyadic length) are array gathers, not per-index
+    dictionary probes.  Every batch entry point rejects indices outside
+    ``[0, size)``.
+    """
+
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise ValueError(f"size must be at least 1, got {size}")
+        self._size = int(size)
+        self._memo = np.zeros(self._size, dtype=float)
+        self._known = np.zeros(self._size, dtype=bool)
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    @property
+    def evaluations(self) -> int:
+        """How many distinct indices have been evaluated (for efficiency
+        tests)."""
+        return int(np.count_nonzero(self._known))
+
+    def _check_indices(self, indices) -> np.ndarray:
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if indices.size and (int(indices.min()) < 0
+                             or int(indices.max()) >= self._size):
+            raise IndexError(f"indices must lie in [0, {self._size})")
+        return indices
+
+    def _missing(self, indices: np.ndarray) -> np.ndarray:
+        """The ascending unique checked ``indices`` not yet memoised."""
+        return np.unique(indices[~self._known[indices]])
+
+    def _store(self, indices: np.ndarray, values) -> None:
+        self._memo[indices] = values
+        self._known[indices] = True
+
+
+class CallableQuality(_MemoisedQuality):
     """Quality function backed by a callable, with memoisation.
 
     Parameters
@@ -76,57 +119,46 @@ class CallableQuality(QualityFunction):
     size:
         The number of candidates.
     batch_function:
-        Optional callable mapping an integer array of indices to an array of
-        qualities; used when available to avoid Python-level loops.
+        Optional callable mapping an ascending integer array of indices to
+        an array of qualities; used when available to avoid Python-level
+        loops.
     """
 
     def __init__(self, function: Callable[[int], float], size: int,
                  batch_function: Callable[[np.ndarray], np.ndarray] = None) -> None:
-        if size < 1:
-            raise ValueError(f"size must be at least 1, got {size}")
+        super().__init__(size)
         self._function = function
         self._batch_function = batch_function
-        self._size = int(size)
-        self._cache: Dict[int, float] = {}
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def evaluations(self) -> int:
-        """How many distinct indices have been evaluated (for efficiency tests)."""
-        return len(self._cache)
 
     def value(self, index: int) -> float:
         index = int(index)
         if not (0 <= index < self._size):
             raise IndexError(f"index {index} out of range [0, {self._size})")
-        if index not in self._cache:
-            self._cache[index] = float(self._function(index))
-        return self._cache[index]
+        if not self._known[index]:
+            self._store(index, float(self._function(index)))
+        return float(self._memo[index])
 
     def values(self, indices: Sequence[int]) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        missing = [int(i) for i in np.unique(indices) if int(i) not in self._cache]
-        if missing:
+        indices = self._check_indices(indices)
+        missing = self._missing(indices)
+        if missing.size:
             if self._batch_function is not None:
-                computed = np.asarray(self._batch_function(np.asarray(missing)), dtype=float)
-                for key, val in zip(missing, computed):
-                    self._cache[int(key)] = float(val)
+                computed = np.asarray(self._batch_function(missing),
+                                      dtype=float)
             else:
-                for key in missing:
-                    self._cache[key] = float(self._function(key))
-        return np.array([self._cache[int(i)] for i in indices], dtype=float)
+                computed = [float(self._function(int(key)))
+                            for key in missing]
+            self._store(missing, computed)
+        return self._memo[indices]
 
     def prefetch(self, indices: Sequence[int]) -> None:
         """Warm the memoisation cache (synchronously) for a batch of
         indices; later :meth:`value` / :meth:`values` calls on them are
         cache hits."""
-        self.values(np.asarray(indices, dtype=np.int64))
+        self.values(indices)
 
 
-class PlanQuality(QualityFunction):
+class PlanQuality(_MemoisedQuality):
     """Quality function evaluated through backend :class:`QueryPlan`\\ s.
 
     The bridge between the quasi-concave solvers and the
@@ -159,44 +191,21 @@ class PlanQuality(QualityFunction):
     def __init__(self, backend, size: int,
                  compile_batch: Callable[..., Any],
                  resolve_batch: Callable[..., np.ndarray]) -> None:
-        if size < 1:
-            raise ValueError(f"size must be at least 1, got {size}")
+        super().__init__(size)
         self._backend = backend
-        self._size = int(size)
         self._compile_batch = compile_batch
         self._resolve_batch = resolve_batch
-        self._cache: Dict[int, float] = {}
         self._pending: List[Tuple[Any, Any, np.ndarray]] = []
-        self._in_flight: set = set()
-
-    @property
-    def size(self) -> int:
-        return self._size
+        self._in_flight = np.zeros(self._size, dtype=bool)
 
     @property
     def backend(self):
         """The backend the quality's plans run on."""
         return self._backend
 
-    @property
-    def evaluations(self) -> int:
-        """How many distinct indices have been evaluated (resolved plans
-        only; for efficiency tests)."""
-        return len(self._cache)
-
-    def _check_indices(self, indices) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if indices.size and (int(indices.min()) < 0
-                             or int(indices.max()) >= self._size):
-            raise IndexError(f"indices must lie in [0, {self._size})")
-        return indices
-
     def prefetch(self, indices: Sequence[int]) -> None:
-        indices = self._check_indices(indices)
-        missing = np.unique(indices)
-        missing = missing[[int(i) not in self._cache
-                           and int(i) not in self._in_flight
-                           for i in missing]]
+        missing = self._missing(self._check_indices(indices))
+        missing = missing[~self._in_flight[missing]]
         if missing.size == 0:
             return
         from repro.neighbors import QueryPlan
@@ -205,7 +214,7 @@ class PlanQuality(QualityFunction):
         token = self._compile_batch(plan, missing)
         future = self._backend.submit(plan)
         self._pending.append((future, token, missing))
-        self._in_flight.update(int(i) for i in missing)
+        self._in_flight[missing] = True
 
     def _drain(self) -> None:
         """Resolve every in-flight plan, in submission order."""
@@ -220,19 +229,18 @@ class PlanQuality(QualityFunction):
                     f"resolve_batch returned {scores.shape[0]} qualities "
                     f"for a batch of {batch.shape[0]} indices"
                 )
-            for key, val in zip(batch, scores):
-                self._cache[int(key)] = float(val)
-                self._in_flight.discard(int(key))
+            self._store(batch, scores)
+            self._in_flight[batch] = False
 
     def value(self, index: int) -> float:
         return float(self.values([index])[0])
 
     def values(self, indices: Sequence[int]) -> np.ndarray:
         indices = self._check_indices(indices)
-        if any(int(i) not in self._cache for i in np.unique(indices)):
+        if not self._known[indices].all():
             self.prefetch(indices)
             self._drain()
-        return np.array([self._cache[int(i)] for i in indices], dtype=float)
+        return self._memo[indices]
 
 
 def is_quasi_concave(scores, tolerance: float = 1e-9) -> bool:

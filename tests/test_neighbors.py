@@ -26,6 +26,7 @@ from repro.neighbors import (
     ChunkedBackend,
     DenseBackend,
     NeighborBackend,
+    ShardedBackend,
     TreeBackend,
     auto_backend,
     resolve_backend,
@@ -191,6 +192,80 @@ class TestScoreParity:
             backend.capped_average_scores([0.1], points.shape[0] + 1)
         with pytest.raises(ValueError):
             backend.capped_average_scores([0.1], 0)
+
+
+def reference_scores(backend, radii, target):
+    """``L(r, S)`` straight from the definition: the mean of the ``target``
+    largest capped counts, one full sort per radius."""
+    return np.array([
+        np.sort(backend.capped_radius_counts(float(r), target))[-target:].sum()
+        / target
+        for r in radii
+    ], dtype=float)
+
+
+#: Integer-grid points with repeated rows: many pairwise distances coincide,
+#: and radii placed at them sit exactly on the ball boundaries.
+TIE_HEAVY = np.vstack([
+    DATASETS["integer-grid"][::2],
+    DATASETS["integer-grid"][:9],
+    np.zeros((3, 2)),
+])
+
+
+def boundary_radii(points):
+    """Pairwise distances (at most 64, spread over the range), the integer
+    distances of the grid exactly, negative radii and one radius beyond the
+    diameter, unsorted."""
+    distances = np.unique(pairwise_distances(points))
+    distances = distances[np.linspace(0, distances.size - 1, 64).astype(int)]
+    radii = np.concatenate([
+        distances, np.arange(0.0, 6.0), [-1.0, -1e-12, distances.max() + 1],
+    ])
+    return np.random.default_rng(5).permutation(radii)
+
+
+class TestProfileReference:
+    """``capped_average_scores`` against an independent definition.
+
+    The parity suites above compare backends with each other, so they all
+    run the same shared scoring code; this class checks it, bitwise, against
+    a per-radius sort of the capped counts."""
+
+    BACKENDS = {
+        "dense": DenseBackend,
+        "chunked": lambda points: ChunkedBackend(points, block_size=29),
+        "tree": TreeBackend,
+        "sharded": lambda points: ShardedBackend(points, num_shards=3,
+                                                 num_workers=0),
+    }
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("dataset", ["tie-heavy", "random-2d"])
+    def test_matches_definition(self, dataset, name, streaming):
+        points = TIE_HEAVY if dataset == "tie-heavy" else DATASETS[dataset]
+        n = points.shape[0]
+        radii = boundary_radii(points)
+        backend = self.BACKENDS[name](points)
+        # mid -> small -> large -> small on one instance: the statistic's
+        # cache grows once, and the smaller targets read its prefix.
+        for target in (n // 2, 3, n, 3):
+            scores = backend.capped_average_scores(radii, target,
+                                                   streaming=streaming)
+            expected = reference_scores(backend, radii, target)
+            assert scores.tobytes() == expected.tobytes(), target
+            empty = backend.capped_average_scores(np.array([]), target,
+                                                  streaming=streaming)
+            assert empty.shape == (0,)
+
+    def test_smaller_target_reuses_sorted_columns(self):
+        backend = ChunkedBackend(TIE_HEAVY)
+        n = TIE_HEAVY.shape[0]
+        backend.capped_average_scores([1.0], n)
+        columns = backend._sorted_columns(n)
+        backend.capped_average_scores([1.0], 3)
+        assert backend._sorted_columns(3).base is columns.base
 
 
 class TestKthDistances:

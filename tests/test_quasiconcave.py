@@ -60,6 +60,30 @@ class TestQualityInterface:
         with pytest.raises(IndexError):
             quality.value(7)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("indices", [[-1], [10], [0, 10]])
+    def test_callable_quality_values_bounds(self, indices, batched):
+        quality = CallableQuality(
+            lambda i: float(i), size=10,
+            batch_function=(lambda idx: idx.astype(float)) if batched else None,
+        )
+        with pytest.raises(IndexError):
+            quality.values(indices)
+        assert quality.evaluations == 0
+
+    def test_callable_quality_batches_unique_missing_indices(self):
+        batches = []
+
+        def batch(indices):
+            batches.append(indices.tolist())
+            return indices.astype(float) * 10
+
+        quality = CallableQuality(lambda i: -1.0, size=8, batch_function=batch)
+        assert quality.values([5, 2, 5]).tolist() == [50.0, 20.0, 50.0]
+        assert quality.values([2, 7, 2, 0]).tolist() == [20.0, 70.0, 20.0, 0.0]
+        assert batches == [[2, 5], [0, 7]]
+        assert quality.evaluations == 4
+
     def test_is_quasi_concave(self):
         assert is_quasi_concave([1, 2, 3, 3, 2, 1])
         assert is_quasi_concave([0, 0, 0])
