@@ -33,9 +33,9 @@ memory — to ``BENCH_backends.json`` (CI uploads it as an artifact, so the
 numbers accumulate a history across commits).  ``--sample-aggregate``
 appends a Section-6 workload to that trajectory: the same private
 sample-and-aggregate mean release timed on the serial parent-side path and
-on the pipelined path (every block one asynchronous ``masked_sum`` query
-plan over a sharded backend), parity-asserted, with both wall times and the
-speedup.
+on the pipelined path (the whole release one query plan carrying one
+segmented ``block_sums`` query over a sharded backend), parity-asserted,
+with both wall times and the speedup.
 """
 
 from __future__ import annotations
@@ -647,16 +647,18 @@ def bench_json_sample_aggregate(n: int, rng_seed: int, workers=None) -> dict:
 
     Times the same private mean-estimation release twice — once on the
     serial parent-side seed path (materialise the sub-sample, evaluate every
-    block in-parent) and once with every block compiled into its own
-    ``masked_sum`` :class:`~repro.neighbors.QueryPlan` and submitted
-    up-front over a 2-worker sharded backend.  The releases (and the raw
-    block means) are asserted bitwise identical, so the row is pure
-    throughput: wall seconds per mode, the speedup, and the plan/round-trip
-    accounting of the pipelined run.
+    block in-parent) and once with the whole release compiled into one
+    :class:`~repro.neighbors.QueryPlan` carrying a single segmented
+    ``block_sums`` query over a 2-worker sharded backend (one plan, one
+    round trip; each shard sums its rows in cache-sized waves of whole
+    blocks, so these wide blocks still go one block per kernel call).  The
+    releases (and the raw block means) are asserted bitwise identical, so
+    the row is pure throughput: wall seconds per mode, the speedup, and the
+    plan/round-trip accounting of the pipelined run.
 
-    The workload is the regime the pipelining targets: wide rows (the
-    per-block exact column sums dominate) and blocks large enough that one
-    plan is a meaningful unit of work.  The aggregation step uses the
+    The workload is the wide-row regime: the per-block exact column sums
+    dominate and every block is far larger than one wave.  The aggregation
+    step uses the
     GUPT-style noisy-average aggregator (dimension-robust and a few
     milliseconds, so the row isolates the block-evaluation stage both paths
     share the aggregator on).
@@ -872,7 +874,7 @@ def main() -> None:
                         help="with --json: also run the sample-and-"
                              "aggregate release at N rows (default 100000, "
                              "d=512) on the serial parent-side path and "
-                             "the pipelined per-block query-plan path "
+                             "the one-plan block_sums path "
                              "(parity-asserted), appending a "
                              "sample_aggregate column with both wall times "
                              "and the speedup")

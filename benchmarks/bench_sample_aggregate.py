@@ -3,9 +3,10 @@
 ``--backend`` forwards a neighbor-backend name into the experiment (it
 accelerates the default 1-cluster aggregation; release-neutral).  The
 2-worker smoke below runs the plan-capable mean estimator once serially and
-once with every block compiled into an asynchronous ``masked_sum`` query
-plan over a sharded pool, and asserts the two releases are bitwise
-identical.
+once with the whole release compiled into one query plan (a single
+segmented ``block_sums`` query) over a sharded pool, asserts the two
+releases are bitwise identical, and asserts the release cost exactly one
+plan and one fan-out.
 """
 
 import numpy as np
@@ -25,8 +26,8 @@ def test_sample_aggregate_aggregators(benchmark, report, backend_choice):
     assert any(row["found"] for row in ours)
 
 
-def test_pipelined_block_plans_release_parity(backend_choice):
-    """2-worker smoke: pipelined block plans move time, never the release."""
+def test_one_plan_release_parity(backend_choice):
+    """2-worker smoke: one plan per release moves time, never the release."""
     from repro.accounting.params import PrivacyParams
     from repro.neighbors import BACKENDS
     from repro.sample_aggregate import private_mean_estimator
@@ -43,10 +44,15 @@ def test_pipelined_block_plans_release_parity(backend_choice):
     backend = BACKENDS["sharded"](
         data, num_workers=2 if workers is None else workers, num_shards=4)
     try:
+        before = backend.pool_stats()
         pipelined = private_mean_estimator(data, block_size=10, params=params,
                                            rng=1, backend=backend, **kwargs)
+        after = backend.pool_stats()
     finally:
         backend.close()
+
+    assert after["plans"] - before["plans"] == 1
+    assert after["fanouts"] - before["fanouts"] == 1
 
     assert np.array_equal(serial.aggregate_values, pipelined.aggregate_values)
     assert serial.found == pipelined.found

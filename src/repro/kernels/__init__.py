@@ -15,7 +15,9 @@ implementations of each:
   ``cdist``'s accumulation), the grid hash applies the identical
   subtract/divide/floor/int64-cast scalar sequence, and the fixed-point
   column sum emits integer partials whose exact integer merge is the same
-  canonical total as :mod:`repro.utils.exactsum`.
+  canonical total as :mod:`repro.utils.exactsum`.  The segmented
+  (per row-segment) fixed-point kernel has only the reference
+  implementation; both modes dispatch to it.
 
 Selection happens once, at import time:
 
@@ -111,6 +113,9 @@ squared_distance_gather = _IMPL.squared_distance_gather
 fused_box_labels = _IMPL.fused_box_labels
 fused_interval_labels = _IMPL.fused_interval_labels
 fixed_point_column_partials = _IMPL.fixed_point_column_partials
+# The native set has no segmented kernel; both modes run the reference one
+# (its merged totals are canonical, so no released bit depends on it).
+fixed_point_segment_partials = _reference.fixed_point_segment_partials
 
 
 def kernel_info() -> dict:
@@ -128,6 +133,7 @@ __all__ = [
     "KERNEL_MODE",
     "KERNEL_MODES",
     "fixed_point_column_partials",
+    "fixed_point_segment_partials",
     "fused_box_labels",
     "fused_interval_labels",
     "kernel_info",

@@ -40,6 +40,13 @@ _MANTISSA_SCALE = float(1 << 53)
 #: segment sums cannot overflow.
 _SEGMENT = 512
 
+#: Fixed-point shifts of finite float64 values lie in ``[-52, 2045]``; the
+#: segmented kernel packs ``(column, segment, shift)`` into one int64 sort
+#: key as ``(column * segments + segment) * _SHIFT_SPAN + shift +
+#: _SHIFT_BIAS``.
+_SHIFT_BIAS = 52
+_SHIFT_SPAN = 4096
+
 
 def squared_distance_slab(queries: np.ndarray,
                           data: np.ndarray) -> np.ndarray:
@@ -86,29 +93,32 @@ def fused_interval_labels(values: np.ndarray, width: float,
     return np.floor((values - offset) / width).astype(np.int64)
 
 
-def fixed_point_column_partials(
-    matrix: np.ndarray,
+def fixed_point_segment_partials(
+    matrix: np.ndarray, segments: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact fixed-point partial sums of a ``(q, k)`` float matrix, as
-    integer arrays.
+    """Exact fixed-point partial sums of a ``(q, k)`` float matrix per
+    (row segment, column), as integer arrays.
 
-    Decomposes every column's exact sum (in ``2**-SCALE_BITS`` units, see
-    :mod:`repro.utils.exactsum`) into ``(limb, shift)`` pairs: entry ``i``
-    contributes ``limbs[i] * 2**shifts[i]`` to column ``columns[i]``'s
-    total.  Each limb is a sum of at most ``_SEGMENT`` 53-bit mantissa
-    integers sharing one exponent, so it fits int64 with headroom — the
-    whole partial is plain fixed-width integers, picklable without
-    arbitrary-precision payloads and producible by a compiled kernel.
+    Row ``i`` belongs to segment ``segments[i]``.  Every segment's
+    per-column exact sum (in ``2**-SCALE_BITS`` units, see
+    :mod:`repro.utils.exactsum`) is decomposed into ``(limb, shift)`` pairs:
+    entry ``j`` contributes ``limbs[j] * 2**shifts[j]`` to the total under
+    key ``keys[j] = segment * k + column``.  Each limb is a sum of at most
+    ``_SEGMENT`` 53-bit mantissa integers sharing one (key, exponent)
+    group, so it fits int64 with headroom — the whole partial is plain
+    fixed-width integers, picklable without arbitrary-precision payloads and
+    producible by a compiled kernel.
 
-    The decomposition itself is *not* canonical (the native kernel emits a
-    different but equivalent one); the **merged total** per column —
-    ``sum(limbs[i] << shifts[i])`` over the column's entries, exact integer
+    The decomposition itself is *not* canonical (the native column kernel
+    emits a different but equivalent one); the **merged total** per key —
+    ``sum(limbs[j] << shifts[j])`` over the key's entries, exact integer
     arithmetic — is canonical, and equals
-    :func:`repro.utils.exactsum.fixed_point_sum` of the column bit for bit.
+    :func:`repro.utils.exactsum.fixed_point_sum` of that segment's column
+    bit for bit.
 
     Returns
     -------
-    (limbs, shifts, columns):
+    (limbs, shifts, keys):
         Equal-length ``int64`` arrays (empty for an empty matrix).
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -116,25 +126,50 @@ def fixed_point_column_partials(
     empty = np.empty(0, dtype=np.int64)
     if q == 0 or k == 0:
         return empty, empty, empty
-    mantissas, exponents = np.frexp(matrix)
-    integers = (mantissas * _MANTISSA_SCALE).astype(np.int64)
-    shifts = exponents.astype(np.int64) + (SCALE_BITS - 53)
-    flat_integers = np.ascontiguousarray(integers.T).reshape(-1)
-    flat_shifts = np.ascontiguousarray(shifts.T).reshape(-1)
-    flat_columns = np.repeat(np.arange(k, dtype=np.int64), q)
-    # Group by (column, shift): primary key last in lexsort.
-    order = np.lexsort((flat_shifts, flat_columns))
-    flat_integers = flat_integers[order]
-    flat_shifts = flat_shifts[order]
-    flat_columns = flat_columns[order]
-    change = (np.diff(flat_shifts) != 0) | (np.diff(flat_columns) != 0)
-    group_starts = np.concatenate(
-        [[0], np.flatnonzero(change) + 1, [flat_shifts.shape[0]]]
+    segments = np.asarray(segments, dtype=np.int64)
+    num_segments = int(segments.max()) + 1
+    # Column-major: a column's entries are contiguous, so the sort key below
+    # arrives presorted by column (and by segment, for grouped segments).
+    mantissas, exponents = np.frexp(np.ascontiguousarray(matrix.T))
+    integers = (mantissas * _MANTISSA_SCALE).astype(np.int64).reshape(-1)
+    shifts = exponents.astype(np.int64) + (SCALE_BITS - 53 + _SHIFT_BIAS)
+    # Group by (column, segment, shift) with one sort of the packed triple.
+    # The order inside a group only picks which mantissas share a limb,
+    # never the merged total.
+    groups = (np.arange(k, dtype=np.int64)[:, None] * num_segments
+              + segments[None, :])
+    packed = (groups * _SHIFT_SPAN + shifts).reshape(-1)
+    order = np.argsort(packed)
+    packed = packed[order]
+    integers = integers[order]
+    group_starts = np.concatenate([[0], np.flatnonzero(np.diff(packed)) + 1])
+    group_sizes = np.diff(np.append(group_starts, packed.shape[0]))
+    # Split every group into runs of at most _SEGMENT entries: run j of a
+    # group starts j * _SEGMENT entries past the group's start.
+    runs = (group_sizes + _SEGMENT - 1) // _SEGMENT
+    first_run = np.cumsum(runs) - runs
+    run_index = np.arange(int(runs.sum()), dtype=np.int64)
+    starts = (np.repeat(group_starts, runs)
+              + _SEGMENT * (run_index - np.repeat(first_run, runs)))
+    limbs = np.add.reduceat(integers, starts).astype(np.int64)
+    group, shift = np.divmod(packed[starts], _SHIFT_SPAN)
+    column, segment = np.divmod(group, num_segments)
+    return limbs, shift - _SHIFT_BIAS, segment * k + column
+
+
+def fixed_point_column_partials(
+    matrix: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact fixed-point partial sums of a ``(q, k)`` float matrix per
+    column: the one-segment case of :func:`fixed_point_segment_partials`,
+    whose keys are then the column indices.
+
+    Returns
+    -------
+    (limbs, shifts, columns):
+        Equal-length ``int64`` arrays (empty for an empty matrix).
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    return fixed_point_segment_partials(
+        matrix, np.zeros(matrix.shape[0], dtype=np.int64)
     )
-    starts = []
-    for index in range(group_starts.shape[0] - 1):
-        starts.extend(range(int(group_starts[index]),
-                            int(group_starts[index + 1]), _SEGMENT))
-    starts = np.asarray(starts, dtype=np.int64)
-    limbs = np.add.reduceat(flat_integers, starts).astype(np.int64)
-    return limbs, flat_shifts[starts], flat_columns[starts]

@@ -58,6 +58,8 @@ from repro.utils.exactsum import (
     exact_column_sums,
     fixed_point_column_sums,
     fixed_point_to_float,
+    segment_partials,
+    segment_sums,
 )
 from repro.utils.validation import check_integer, check_points
 
@@ -73,6 +75,45 @@ STREAMING_MIN_POINTS = 8192
 #: Shared key mapping (negative radii match nothing); one definition for all
 #: paths, see :func:`repro.neighbors._distance.squared_radius_keys`.
 _squared_radii = squared_radius_keys
+
+
+def check_row_indices(rows, num_points: int) -> np.ndarray:
+    """Validate a global row-index array; returns it as flat ``int64``.
+
+    The one check every row-taking query shares (in-process views and the
+    sharded/distributed plan compiler alike).  Indices must have an integer
+    dtype — a float array would otherwise be truncated towards zero, so
+    ``[1.7, 2.2]`` would silently select rows 1 and 2 and ``-0.5`` would
+    pass the range check as row 0; boolean masks are accepted only where a
+    selection is (the masked queries), never as indices.  Values must lie in
+    ``[0, n)``: no negative wrap-around, because the sharded path routes
+    rows to shards by value.  An empty array of any dtype is the empty
+    index set.
+    """
+    array = np.asarray(rows)
+    if array.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if array.dtype == np.bool_ or not np.issubdtype(array.dtype, np.integer):
+        raise TypeError(
+            f"rows must be an integer index array, got dtype {array.dtype}"
+        )
+    rows = array.astype(np.int64, copy=False).reshape(-1)
+    if int(rows.min()) < 0 or int(rows.max()) >= num_points:
+        raise ValueError("rows must lie in [0, n)")
+    return rows
+
+
+def _check_blocks(rows, block_size, num_points: int) -> Tuple[np.ndarray, int]:
+    """Validate a :meth:`ProjectedView.block_sums` request: the rows (see
+    :func:`check_row_indices`) must split into whole blocks of
+    ``block_size``."""
+    rows = check_row_indices(rows, num_points)
+    block_size = check_integer(block_size, "block_size", minimum=1)
+    if rows.shape[0] % block_size:
+        raise ValueError(
+            f"{rows.shape[0]} rows do not split into blocks of {block_size}"
+        )
+    return rows, block_size
 
 
 class BackendUnavailableError(RuntimeError):
@@ -353,14 +394,8 @@ class ProjectedView:
         return 1
 
     def _check_rows(self, rows) -> np.ndarray:
-        """Validate a row-subset index array (no negative wrap-around: the
-        sharded view routes rows to shards by value, so python-style negative
-        indices would silently diverge from the in-process view)."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.size and (int(rows.min()) < 0
-                          or int(rows.max()) >= self.num_points):
-            raise ValueError("rows must lie in [0, n)")
-        return rows
+        """Validate a row-subset index array (:func:`check_row_indices`)."""
+        return check_row_indices(rows, self.num_points)
 
     def image(self, rows=None) -> np.ndarray:
         """The projected coordinates of (a row subset of) the points.
@@ -565,6 +600,26 @@ class ProjectedView:
         rows = self._selection_rows(selection)
         return exact_column_sums(self.image(rows))
 
+    def block_sums(self, rows, block_size: int) -> np.ndarray:
+        """The ``(len(rows) / block_size, k)`` exact (correctly-rounded) sums
+        of the image over consecutive blocks of ``rows``.
+
+        ``rows`` is a global-index multiset (duplicates count) whose length
+        is a multiple of ``block_size``; row ``b`` of the result sums the
+        image of ``rows[b * block_size:(b + 1) * block_size]``.  Each entry
+        is bitwise :func:`repro.utils.exactsum.exact_column_sums` of its
+        block — one segmented exact sum, evaluated in cache-sized waves of
+        whole blocks (:func:`repro.utils.exactsum.segment_partials`), so
+        every backend at every shard count returns the same array.
+        """
+        rows, block_size = _check_blocks(rows, block_size, self.num_points)
+        width = self.image_dimension
+        segments = np.arange(rows.shape[0], dtype=np.int64) // block_size
+        partials = segment_partials(
+            lambda low, high: self.image(rows[low:high]), segments, width
+        )
+        return segment_sums(rows.shape[0] // block_size, width, [partials])
+
     def masked_minmax(self, selection) -> np.ndarray:
         """Per-axis extremes of the selected image points.
 
@@ -647,6 +702,7 @@ MASKED_PLAN_OPS = frozenset({
 #: ones plus the grid-hash queries).
 VIEW_PLAN_OPS = MASKED_PLAN_OPS | frozenset({
     "heaviest_cell_counts", "cell_histogram", "axis_interval_labels",
+    "block_sums",
 })
 
 #: Whole-dataset plan operations answered by the backend itself.
@@ -795,6 +851,15 @@ class QueryPlan:
             rows = view._check_rows(rows)
         return self._append("axis_interval_labels", view, None,
                             (float(width), float(offset), rows))
+
+    def block_sums(self, view: "ProjectedView", rows,
+                   block_size: int) -> int:
+        """Append a :meth:`ProjectedView.block_sums` query (every block's
+        exact image sum as one segmented query — a whole sample-and-aggregate
+        release in one plan); returns its result slot."""
+        view = self._require_view(view)
+        rows, block_size = _check_blocks(rows, block_size, view.num_points)
+        return self._append("block_sums", view, None, (rows, block_size))
 
     # ------------------------------------------------------------------ #
     # Masked aggregation

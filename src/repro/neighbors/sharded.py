@@ -67,13 +67,14 @@ from repro.neighbors.base import (
     PlanFuture,
     ProjectedView,
     QueryPlan,
+    check_row_indices,
     depth_count_pairs,
 )
 from repro import kernels as _kernels
 from repro.utils.exactsum import (
     fixed_point_column_partials,
-    fixed_point_to_float,
-    merge_column_partials,
+    segment_partials,
+    segment_sums,
 )
 from repro.utils.validation import check_integer, check_points
 
@@ -484,18 +485,29 @@ class _ShardSet:
             self._selection_rows[shard] = (sel_token, rows)
         return rows
 
-    def view_masked_sum(self, shard: int, token: Optional[int],
+    def view_block_sums(self, shard: int, token: Optional[int],
                         matrix: Optional[np.ndarray],
-                        offset: Optional[np.ndarray],
-                        rows: np.ndarray) -> Tuple[int, tuple]:
-        """``(count, fixed-point (limb, shift, column) partial arrays)`` of
-        this shard's selected image rows — the mergeable partial behind
-        :meth:`ProjectedView.masked_sum`.  The wire form is fixed-width
-        int64 arrays (producible by the native kernel, cheap to pickle);
-        integer addition across shards is exact and associative, so the
-        merged total is independent of the shard topology."""
-        image = self.view_image(shard, token, matrix, offset, rows=rows)
-        return int(rows.shape[0]), fixed_point_column_partials(image)
+                        offset: Optional[np.ndarray], rows: np.ndarray,
+                        segments: np.ndarray) -> tuple:
+        """Fixed-point ``(limb, shift, segment * k + column)`` partial
+        arrays of this shard's image rows, per segment — the mergeable
+        partial behind :meth:`ProjectedView.block_sums` (and, with a single
+        segment, :meth:`ProjectedView.masked_sum`).
+
+        ``rows`` are shard-local and grouped by their (non-decreasing)
+        ``segments``; consecutive segments are gathered, projected and
+        summed one cache-sized wave at a time
+        (:func:`repro.utils.exactsum.segment_partials`).  The wire form is
+        fixed-width int64 arrays (cheap to pickle); integer addition across
+        shards is exact and associative, so the merged totals are
+        independent of the shard topology."""
+        width = (self.points.shape[1] if matrix is None
+                 else int(matrix.shape[0]))
+        return segment_partials(
+            lambda low, high: self.view_image(shard, token, matrix, offset,
+                                              rows=rows[low:high]),
+            segments, width,
+        )
 
     def view_masked_minmax(self, shard: int, token: Optional[int],
                            matrix: Optional[np.ndarray],
@@ -583,8 +595,11 @@ class _ShardSet:
             if op == "masked_count":
                 results.append(int(rows.shape[0]))
             elif op == "masked_sum":
-                results.append(self.view_masked_sum(shard, token, matrix,
-                                                    offset, rows))
+                # One segment: every selected row sums into segment 0.
+                results.append(self.view_block_sums(
+                    shard, token, matrix, offset, rows,
+                    np.zeros(rows.shape[0], dtype=np.int64)
+                ))
             elif op == "masked_minmax":
                 results.append(self.view_masked_minmax(shard, token, matrix,
                                                        offset, rows))
@@ -613,6 +628,11 @@ class _ShardSet:
                 results.append(self.view_axis_labels(
                     shard, token, matrix, offset, width, axis_offset,
                     local_rows
+                ))
+            elif op == "block_sums":
+                local_rows, segments = args
+                results.append(self.view_block_sums(
+                    shard, token, matrix, offset, local_rows, segments
                 ))
             elif op == "count_within_many":
                 centers, radii = args
@@ -797,15 +817,27 @@ def _split_rows_by_shard(rows: np.ndarray,
     return order, slices
 
 
-def _merge_masked_sum(parts: Sequence[tuple],
-                      image_dimension: int) -> np.ndarray:
-    """Fold ``(count, (limb, shift, column) arrays)`` partials into the
-    exact float column sums (see
-    :func:`repro.utils.exactsum.merge_column_partials`)."""
-    totals = merge_column_partials(image_dimension,
-                                   [part[1] for part in parts])
-    return np.asarray([fixed_point_to_float(total) for total in totals],
-                      dtype=float)
+def _split_blocks_by_shard(rows: np.ndarray, block_size: int,
+                           bounds: Sequence[Tuple[int, int]]) -> list:
+    """Per-shard ``(local rows, segment ids)`` of a ``block_sums`` query.
+
+    Position ``p`` of ``rows`` belongs to block ``p // block_size``.  One
+    stable argsort by owning shard keeps each shard's rows in position
+    order, so its segment ids come out non-decreasing — grouped, as the
+    shard-side waves need.
+    """
+    lows = np.asarray([low for low, _ in bounds], dtype=np.int64)
+    owner = np.searchsorted(lows, rows, side="right") - 1
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=len(bounds)))
+    local = rows[order] - lows[owner[order]]
+    segments = order // block_size
+    pieces = []
+    start = 0
+    for end in ends.tolist():
+        pieces.append((local[start:end], segments[start:end]))
+        start = end
+    return pieces
 
 
 def _merge_minmax(parts: Sequence[Optional[np.ndarray]],
@@ -1426,15 +1458,6 @@ class ShardedBackend(NeighborBackend):
     # ------------------------------------------------------------------ #
     # Fused query plans (one task per shard per plan)
     # ------------------------------------------------------------------ #
-    def _check_global_rows(self, rows) -> np.ndarray:
-        """Validate a global row-index array (mirrors the view-side check —
-        no negative wrap-around, values in ``[0, n)``)."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.size and (int(rows.min()) < 0
-                          or int(rows.max()) >= self.num_points):
-            raise ValueError("rows must lie in [0, n)")
-        return rows
-
     def _selection_specs(self, selection) -> List[tuple]:
         """Per-shard wire specs of a masked-query selection.
 
@@ -1469,7 +1492,8 @@ class ShardedBackend(NeighborBackend):
                 )
             rows = np.flatnonzero(array)
         else:
-            rows = np.sort(self._check_global_rows(array), kind="stable")
+            rows = np.sort(check_row_indices(array, self.num_points),
+                           kind="stable")
         specs = []
         for low, high in self._bounds:
             lo = np.searchsorted(rows, low, side="left")
@@ -1533,7 +1557,8 @@ class ShardedBackend(NeighborBackend):
                                    (width, axis_offset, None)))
                 else:
                     order, slices = _split_rows_by_shard(
-                        self._check_global_rows(rows), self._bounds
+                        check_row_indices(rows, self.num_points),
+                        self._bounds
                     )
                     merges.append((op, len(bundle), order))
                     bundle.append((op, view_slot, None,
@@ -1544,11 +1569,19 @@ class ShardedBackend(NeighborBackend):
                 merges.append((op, len(bundle), None))
                 bundle.append((op, view_slot, None, query.args))
                 continue
-            # Masked aggregates: the merge needs the image dimension of the
-            # queried view.
+            # Block and masked aggregates: the merge needs the image
+            # dimension of the queried view.
             matrix = views[view_slot].matrix
             image_dimension = (int(matrix.shape[0]) if matrix is not None
                                else self.dimension)
+            if op == "block_sums":
+                rows, block_size = query.args
+                merges.append((op, len(bundle),
+                               (rows.shape[0] // block_size, image_dimension)))
+                bundle.append((op, view_slot, None,
+                               _split_blocks_by_shard(rows, block_size,
+                                                      self._bounds)))
+                continue
             merges.append((op, len(bundle), image_dimension))
             bundle.append((op, view_slot, query.selection_slot, query.args))
         return _CompiledPlan(views_wire, selection_specs, bundle, merges)
@@ -1573,19 +1606,17 @@ class ShardedBackend(NeighborBackend):
             elif op == "masked_count":
                 results.append(int(sum(parts)))
             elif op == "masked_sum":
-                results.append(_merge_masked_sum(parts, extra))
+                results.append(segment_sums(1, extra, parts)[0])
+            elif op == "block_sums":
+                num_blocks, width = extra
+                results.append(segment_sums(num_blocks, width, parts))
             elif op == "masked_minmax":
                 results.append(_merge_minmax(parts, extra))
             elif op == "masked_clipped_sum":
-                count = int(sum(part[0] for part in parts))
-                totals = merge_column_partials(extra,
-                                               [part[1] for part in parts])
                 results.append(ClippedSum(
-                    count=count,
-                    vector_sum=np.asarray(
-                        [fixed_point_to_float(total) for total in totals],
-                        dtype=float,
-                    ),
+                    count=int(sum(part[0] for part in parts)),
+                    vector_sum=segment_sums(
+                        1, extra, [part[1] for part in parts])[0],
                 ))
             elif op == "masked_axis_histograms":
                 results.append(_merge_axis_histograms(parts, extra))
@@ -1818,6 +1849,9 @@ class _ShardedView(ProjectedView):
 
     def masked_sum(self, selection) -> np.ndarray:
         return self._planned("masked_sum", selection)
+
+    def block_sums(self, rows, block_size: int) -> np.ndarray:
+        return self._planned("block_sums", rows, block_size)
 
     def masked_minmax(self, selection) -> np.ndarray:
         return self._planned("masked_minmax", selection)

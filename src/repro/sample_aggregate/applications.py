@@ -22,14 +22,15 @@ from repro.utils.rng import RngLike
 class BlockMean:
     """Plan-capable block analysis: the exact column mean.
 
-    ``__call__`` computes the block mean through
+    ``__call__`` computes one block's mean through
     :func:`~repro.utils.exactsum.exact_column_sums` (the correctly-rounded
     fixed-point column sum), and ``compile``/``resolve`` compute the *same*
-    sum through one backend ``masked_sum`` plan query.  The masked sum is
-    partition-independent by construction, so the two paths — and every
-    backend at every shard count — produce bitwise-identical block means,
-    which is what lets :func:`sample_and_aggregate` run all blocks as
-    asynchronous plans without perturbing the release.
+    sums for every block of a release through one backend ``block_sums``
+    plan query.  The segmented exact sum is partition-independent by
+    construction, so the two paths — and every backend at every shard
+    count — produce bitwise-identical block means, which is what lets
+    :func:`sample_and_aggregate` evaluate a whole release as one plan
+    without perturbing it.
     """
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
@@ -38,8 +39,8 @@ class BlockMean:
             block = block.reshape(-1, 1)
         return exact_column_sums(block) / float(block.shape[0])
 
-    def compile(self, plan, view, rows) -> int:
-        return plan.masked_sum(view, rows)
+    def compile(self, plan, view, rows, block_size: int) -> int:
+        return plan.block_sums(view, rows, block_size)
 
     def resolve(self, results, token: int, block_size: int) -> np.ndarray:
         return np.asarray(results[token], dtype=float) / float(block_size)
@@ -53,7 +54,7 @@ def private_mean_estimator(data, block_size: int, params: PrivacyParams,
     The sample mean of an i.i.d. block concentrates around the population
     mean, so it is a highly stable analysis — the canonical demonstration of
     the framework.  The analysis is :class:`BlockMean`, so with a
-    ``backend=`` the blocks evaluate as asynchronous query plans.  (The mean
+    ``backend=`` every block evaluates inside one query plan.  (The mean
     is the exact correctly-rounded one; this deliberately replaced
     ``block.mean(axis=0)``, whose pairwise summation is partition-dependent
     and could not match across backends.)

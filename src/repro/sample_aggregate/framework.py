@@ -44,22 +44,72 @@ from repro.utils.validation import check_integer, check_probability
 
 
 def plan_capable(analysis) -> bool:
-    """Whether an analysis can compile its block computation into query plans.
+    """Whether an analysis can compile a whole release's blocks into one
+    query plan.
 
     A *plan-capable* analysis implements, in addition to ``__call__(block)``:
 
-    * ``compile(plan, view, rows)`` — append the queries computing the
-      analysis of the rows (a global-index multiset into the backend's
-      dataset) to ``plan`` over the identity ``view``; return a token.
+    * ``compile(plan, view, rows, block_size)`` — append the queries
+      computing the analysis of every consecutive ``block_size`` block of
+      ``rows`` (a global-index multiset into the backend's dataset) to
+      ``plan`` over the identity ``view``; return a token.
     * ``resolve(results, token, block_size)`` — map the executed plan's
-      results back to the block's value, bitwise identical to
-      ``__call__(database[rows])``.
+      results to the ``(num_blocks, d)`` block values, row ``b`` bitwise
+      identical to ``__call__(database[rows[b * block_size:(b + 1) *
+      block_size]])``.
 
-    :func:`sample_and_aggregate` uses this to route every block through one
-    asynchronous backend plan instead of materialising the sub-sample
-    parent-side.
+    :func:`evaluate_blocks` uses this to evaluate every block of a release
+    through one backend plan — one fan-out, one task per shard — instead of
+    materialising the sub-sample parent-side.
     """
     return hasattr(analysis, "compile") and hasattr(analysis, "resolve")
+
+
+def evaluate_blocks(database: np.ndarray, analysis, indices: np.ndarray,
+                    block_size: int, backend: BackendLike = None,
+                    backend_options: Optional[dict] = None) -> np.ndarray:
+    """``analysis`` on every consecutive ``block_size`` block of
+    ``database[indices]``, as a ``(num_blocks, d)`` float array.
+
+    With a ``backend``, a :func:`plan_capable` analysis and a 2-d database,
+    the whole release compiles into **one** :class:`QueryPlan` over the
+    resolved backend (a long-lived instance is reused; a name or class is
+    resolved here and closed afterwards).  Otherwise every block is
+    evaluated parent-side on the gathered sub-sample — the serial
+    reference, which the plan path matches bit for bit.
+    """
+    num_blocks = indices.shape[0] // block_size
+    use_plans = (backend is not None and plan_capable(analysis)
+                 and database.ndim == 2)
+    if not use_plans:
+        if backend_options is not None and backend is None:
+            raise ValueError("backend_options requires a backend")
+        subsample = database[indices]
+        return np.vstack([
+            np.atleast_1d(np.asarray(
+                analysis(subsample[block * block_size:
+                                   (block + 1) * block_size]),
+                dtype=float,
+            ))
+            for block in range(num_blocks)
+        ])
+    engine = resolve_backend(database, backend, backend_options)
+    try:
+        plan = QueryPlan()
+        token = analysis.compile(plan, engine.view(), indices, block_size)
+        values = analysis.resolve(engine.execute(plan), token, block_size)
+    finally:
+        if not isinstance(backend, NeighborBackend):
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0 or values.shape[0] != num_blocks:
+        raise ValueError(
+            f"resolve returned {values.shape} for {num_blocks} blocks; "
+            "expected one row per block"
+        )
+    return values.reshape(num_blocks, -1)
 
 
 @dataclass(frozen=True)
@@ -157,12 +207,13 @@ def sample_and_aggregate(database, analysis: Callable[[np.ndarray], np.ndarray],
     backend:
         Optional neighbor backend for the block evaluations.  When the
         analysis is :func:`plan_capable` and the database is a 2-d float
-        array, every block compiles into its own :class:`QueryPlan` over the
-        resolved backend and *all plans are submitted up-front* — on a
-        sharded/distributed backend the blocks are embarrassingly parallel,
-        so every worker stays busy while the parent merely merges — and the
-        block values (hence the release) are bitwise identical to the
-        parent-side path.  Accepts anything
+        array, the whole release compiles into **one** :class:`QueryPlan`
+        over the resolved backend (:func:`evaluate_blocks`) — for
+        :class:`~repro.sample_aggregate.applications.BlockMean` a single
+        segmented exact-sum query, so a sharded/distributed backend runs one
+        task per shard for all ``k`` blocks — and the block values (hence
+        the release) are bitwise identical to the parent-side path.
+        Accepts anything
         :func:`~repro.neighbors.resolve_backend` does; a long-lived
         :class:`~repro.neighbors.NeighborBackend` instance built over
         ``database`` is reused without re-indexing, which is how
@@ -200,53 +251,8 @@ def sample_and_aggregate(database, analysis: Callable[[np.ndarray], np.ndarray],
             f"cannot form even one block of size {block_size}"
         )
     indices = generator.integers(0, n, size=num_blocks * block_size)
-
-    use_plans = (backend is not None and plan_capable(analysis)
-                 and database.ndim == 2)
-    engine = None
-    owns_engine = False
-    if use_plans:
-        engine = resolve_backend(database, backend, backend_options)
-        owns_engine = not isinstance(backend, NeighborBackend)
-    elif backend_options is not None and backend is None:
-        raise ValueError("backend_options requires a backend")
-
-    try:
-        if use_plans:
-            # Each block is one independent plan; submitting them all before
-            # resolving any keeps a sharded/distributed backend's workers
-            # saturated.  Results are collected in block order, and every
-            # plan's merge is shard-order deterministic, so the values — and
-            # the aggregation below — match the serial path bitwise.
-            view = engine.view()
-            futures = []
-            for block_index in range(num_blocks):
-                rows = indices[block_index * block_size:
-                               (block_index + 1) * block_size]
-                plan = QueryPlan()
-                token = analysis.compile(plan, view, rows)
-                futures.append((engine.submit(plan), token))
-            outputs = [
-                np.atleast_1d(np.asarray(
-                    analysis.resolve(future.result(), token, block_size),
-                    dtype=float,
-                ))
-                for future, token in futures
-            ]
-        else:
-            subsample = database[indices]
-            outputs = []
-            for block_index in range(num_blocks):
-                block = subsample[block_index * block_size:
-                                  (block_index + 1) * block_size]
-                value = np.atleast_1d(np.asarray(analysis(block), dtype=float))
-                outputs.append(value)
-    finally:
-        if owns_engine and engine is not None:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
-    aggregate_values = np.vstack(outputs)
+    aggregate_values = evaluate_blocks(database, analysis, indices,
+                                       block_size, backend, backend_options)
 
     target = max(1, int(math.floor(alpha * num_blocks / 2.0)))
     if aggregator is None:
@@ -282,6 +288,7 @@ def sample_and_aggregate(database, analysis: Callable[[np.ndarray], np.ndarray],
 
 __all__ = [
     "StablePointResult",
+    "evaluate_blocks",
     "plan_capable",
     "sample_and_aggregate",
     "sa_minimum_database_size",

@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.neighbors import BackendLike, NeighborBackend, QueryPlan, resolve_backend
+from repro.neighbors import BackendLike
+from repro.sample_aggregate.framework import evaluate_blocks
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_integer, check_probability
 
@@ -70,15 +71,14 @@ def empirical_stability(database, analysis: Callable[[np.ndarray], np.ndarray],
         Number of Monte-Carlo sub-samples.
     backend, backend_options:
         As in :func:`~repro.sample_aggregate.framework.sample_and_aggregate`:
-        with a plan-capable analysis (``compile``/``resolve``) every
-        repetition's sub-sample evaluation is one asynchronous
-        :class:`QueryPlan`, all submitted before any is resolved; the
-        distances are bitwise identical to the serial path.
+        with a plan-capable analysis (``compile``/``resolve``) the
+        repetitions are the blocks of one
+        :func:`~repro.sample_aggregate.framework.evaluate_blocks` call — one
+        query plan for the whole estimate; the distances are bitwise
+        identical to the serial path.
     rng:
         Seed or generator.
     """
-    from repro.sample_aggregate.framework import plan_capable
-
     database = np.asarray(database)
     check_integer(block_size, "block_size", minimum=1)
     check_integer(repetitions, "repetitions", minimum=1)
@@ -90,40 +90,12 @@ def empirical_stability(database, analysis: Callable[[np.ndarray], np.ndarray],
     # Draw every repetition's sub-sample up-front, in the historical per-rep
     # call order, so the random stream — and hence the estimate — does not
     # depend on which evaluation path runs.
-    index_sets = [generator.integers(0, n, size=block_size)
-                  for _ in range(repetitions)]
-
-    use_plans = (backend is not None and plan_capable(analysis)
-                 and database.ndim == 2)
-    distances = np.empty(repetitions)
-    if use_plans:
-        engine = resolve_backend(database, backend, backend_options)
-        owns_engine = not isinstance(backend, NeighborBackend)
-        try:
-            view = engine.view()
-            futures = []
-            for indices in index_sets:
-                plan = QueryPlan()
-                token = analysis.compile(plan, view, indices)
-                futures.append((engine.submit(plan), token))
-            for rep, (future, token) in enumerate(futures):
-                value = np.atleast_1d(np.asarray(
-                    analysis.resolve(future.result(), token, block_size),
-                    dtype=float,
-                ))
-                distances[rep] = float(np.linalg.norm(value - candidate))
-        finally:
-            if owns_engine:
-                close = getattr(engine, "close", None)
-                if close is not None:
-                    close()
-    else:
-        if backend_options is not None and backend is None:
-            raise ValueError("backend_options requires a backend")
-        for rep, indices in enumerate(index_sets):
-            value = np.atleast_1d(np.asarray(analysis(database[indices]),
-                                             dtype=float))
-            distances[rep] = float(np.linalg.norm(value - candidate))
+    indices = np.concatenate([generator.integers(0, n, size=block_size)
+                              for _ in range(repetitions)])
+    values = evaluate_blocks(database, analysis, indices, block_size,
+                             backend, backend_options)
+    distances = np.asarray([float(np.linalg.norm(value - candidate))
+                            for value in values])
     probability = float(np.mean(distances <= radius))
     return StabilityEstimate(probability=probability, radius=float(radius),
                              distances=distances)

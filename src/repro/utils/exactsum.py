@@ -27,7 +27,7 @@ few thousand big-int operations for a million inputs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from repro import kernels
 #: Every finite float64 is an integer multiple of ``2**-SCALE_BITS``.
 SCALE_BITS = 1074
 
+#: ``2**SCALE_BITS``, the divisor that converts a fixed-point total back.
+_SCALE = 1 << SCALE_BITS
+
 #: ``2**53`` — scaling a frexp mantissa (``0.5 <= |m| < 1``) by this yields
 #: an exact integer with at most 53 bits.
 _MANTISSA_SCALE = float(1 << 53)
@@ -43,6 +46,12 @@ _MANTISSA_SCALE = float(1 << 53)
 #: Longest ``np.add.reduceat`` segment: ``512 * 2**53 < 2**63`` guarantees
 #: the int64 segment sums cannot overflow.
 _SEGMENT = 512
+
+#: Most matrix entries (rows × width) one segmented kernel call covers:
+#: consecutive row segments are grouped into waves of whole segments up to
+#: this size, so a wave's gathered rows and the kernel's integer temporaries
+#: stay cache-resident.  A segment wider than this is a wave on its own.
+_WAVE_ENTRIES = 32768
 
 
 def fixed_point_sum(values) -> int:
@@ -115,6 +124,88 @@ def fixed_point_column_partials(
     return kernels.fixed_point_column_partials(matrix)
 
 
+def fixed_point_segment_partials(
+    matrix, segments,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact fixed-point partials per (row segment, column) as ``(limb,
+    shift, key)`` int64 arrays, ``key = segment * k + column``.
+
+    The segmented generalisation of :func:`fixed_point_column_partials`
+    (which is its one-segment case): folding the entries of key
+    ``s * k + j`` with :func:`merge_column_partials` yields
+    :func:`fixed_point_sum` of column ``j`` over the rows of segment ``s``,
+    bit for bit.  Validated wrapper around
+    :func:`repro.kernels.fixed_point_segment_partials`.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
+    segments = np.asarray(segments, dtype=np.int64).reshape(-1)
+    if segments.shape[0] != matrix.shape[0]:
+        raise ValueError(
+            f"expected one segment id per row ({matrix.shape[0]}), got "
+            f"{segments.shape[0]}"
+        )
+    if segments.size and int(segments.min()) < 0:
+        raise ValueError("segment ids must be non-negative")
+    if matrix.size and not np.all(np.isfinite(matrix)):
+        raise ValueError("exact summation requires finite values")
+    return kernels.fixed_point_segment_partials(matrix, segments)
+
+
+def segment_waves(segments, width: int) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` position ranges grouping consecutive runs of equal
+    ``segments`` into waves of at most :data:`_WAVE_ENTRIES` entries
+    (rows × ``width``).  Waves never split a run; a run larger than the
+    limit forms a wave by itself."""
+    segments = np.asarray(segments).reshape(-1)
+    length = segments.shape[0]
+    ends = np.append(np.flatnonzero(np.diff(segments)) + 1, length)
+    capacity = max(1, _WAVE_ENTRIES // max(1, int(width)))
+    waves = []
+    low = 0
+    while low < length:
+        index = int(np.searchsorted(ends, low + capacity, side="right")) - 1
+        if index < 0 or ends[index] <= low:
+            index = int(np.searchsorted(ends, low, side="right"))
+        high = int(ends[index])
+        waves.append((low, high))
+        low = high
+    return waves
+
+
+def segment_partials(image: Callable[[int, int], np.ndarray], segments,
+                     width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segmented partials of a ``(q, width)`` matrix, computed one wave
+    (:func:`segment_waves`) at a time.
+
+    ``image(lo, hi)`` returns rows ``lo:hi`` of the matrix, so a caller
+    gathers (and projects) only one wave's rows at a time.  The per-wave
+    partials are concatenated into one ``(limbs, shifts, keys)`` triple.
+    """
+    segments = np.asarray(segments, dtype=np.int64).reshape(-1)
+    parts = [fixed_point_segment_partials(image(low, high),
+                                          segments[low:high])
+             for low, high in segment_waves(segments, width)]
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def segment_sums(num_segments: int, num_columns: int,
+                 partials: Iterable) -> np.ndarray:
+    """Fold segmented ``(limbs, shifts, keys)`` partials into the
+    ``(num_segments, num_columns)`` correctly-rounded sums.  Like every
+    fold here, the result is independent of how the rows were split across
+    partials and of the fold order."""
+    totals = merge_column_partials(int(num_segments) * int(num_columns),
+                                   partials)
+    return np.asarray([fixed_point_to_float(total) for total in totals],
+                      dtype=float).reshape(int(num_segments),
+                                           int(num_columns))
+
+
 def merge_column_partials(num_columns: int, partials: Iterable) -> List[int]:
     """Fold ``(limbs, shifts, columns)`` partials into per-column exact
     big-int totals.
@@ -175,7 +266,7 @@ def fixed_point_to_float(total: int) -> float:
     the canonical (partition-independent) rounding of the exact sum.
     """
     try:
-        return total / (1 << SCALE_BITS)
+        return total / _SCALE
     except OverflowError:  # pragma: no cover - astronomically large sums
         return float("inf") if total > 0 else float("-inf")
 
@@ -200,8 +291,12 @@ __all__ = [
     "exact_column_sums",
     "fixed_point_column_partials",
     "fixed_point_column_sums",
+    "fixed_point_segment_partials",
     "fixed_point_sum",
     "fixed_point_to_float",
     "merge_column_partials",
     "merge_fixed_point",
+    "segment_partials",
+    "segment_sums",
+    "segment_waves",
 ]

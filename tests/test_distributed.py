@@ -409,6 +409,38 @@ class TestLoopbackParity:
             assert np.array_equal(ball.center, expected.center)
             assert ball.radius == expected.radius
 
+    def test_sample_aggregate_release_one_rpc_per_node(self, monkeypatch):
+        """A whole ``private_mean_estimator`` release over 2 loopback nodes
+        is one plan — one ``shard_tasks`` RPC per node — and bitwise the
+        serial path's release and block means."""
+        from repro.sample_aggregate import private_mean_estimator
+
+        points = np.random.default_rng(0).normal(loc=[0.4, 0.6], scale=0.05,
+                                                 size=(6000, 2))
+        params = PrivacyParams(12.0, 1e-4)
+        kwargs = dict(alpha=0.8, subsample_fraction=1.0 / 3.0,
+                      collect_diagnostics=True)
+        serial = private_mean_estimator(points, 10, params, rng=1, **kwargs)
+        with distributed_backend(points, 2, num_shards=4) as backend:
+            senders = []
+            original_send = NodeClient.send
+
+            def spy_send(self, request):
+                if isinstance(request, tuple) and request \
+                        and request[0] == "shard_tasks":
+                    senders.append(id(self))
+                return original_send(self, request)
+
+            monkeypatch.setattr(NodeClient, "send", spy_send)
+            released = private_mean_estimator(points, 10, params, rng=1,
+                                              backend=backend, **kwargs)
+            monkeypatch.undo()
+        assert len(senders) == 2 and len(set(senders)) == 2
+        assert np.array_equal(released.aggregate_values,
+                              serial.aggregate_values)
+        assert serial.found and released.found
+        assert np.array_equal(released.point, serial.point)
+
     def test_resolve_backend_requires_nodes(self):
         points = DATASETS["random-2d"]
         with pytest.raises(ValueError, match="node servers"):

@@ -104,15 +104,20 @@ class TestSampleAggregateParity:
                 close()
 
     def test_block_mean_matches_masked_sum_plan(self, gaussian_points):
-        """The two BlockMean paths are the same exact sum, bit for bit."""
+        """The two BlockMean paths are the same exact sum, bit for bit: the
+        whole-release plan's block means equal ``__call__`` per block."""
         analysis = BlockMean()
         backend = ShardedBackend(gaussian_points, num_shards=3, num_workers=0)
         rows = np.random.default_rng(2).integers(0, gaussian_points.shape[0],
                                                  size=25)
         plan = QueryPlan()
-        token = analysis.compile(plan, backend.view(), rows)
-        planned = analysis.resolve(backend.execute(plan), token, rows.size)
-        assert np.array_equal(planned, analysis(gaussian_points[rows]))
+        token = analysis.compile(plan, backend.view(), rows, 5)
+        planned = analysis.resolve(backend.execute(plan), token, 5)
+        assert planned.shape == (5, 2)
+        for block in range(5):
+            assert np.array_equal(
+                planned[block],
+                analysis(gaussian_points[rows[5 * block:5 * (block + 1)]]))
 
     def test_component_assignment_matches_dense_broadcast(self):
         for trial in range(10):
@@ -127,18 +132,30 @@ class TestSampleAggregateParity:
 
 
 class TestSampleAggregateAccounting:
-    def test_one_plan_per_block_no_rebuilds(self, gaussian_points):
-        """Every subsample block is exactly one plan = one fan-out =
-        ``num_shards`` shard tasks on the caller's long-lived backend."""
-        backend = ShardedBackend(gaussian_points, num_shards=3, num_workers=0)
+    @staticmethod
+    def _deltas(backend, run):
         before = backend.pool_stats()
-        result = private_mean_estimator(gaussian_points, 10, PARAMS,
-                                        backend=backend, rng=1, **SA_KWARGS)
+        run()
         after = backend.pool_stats()
-        num_blocks = result.num_blocks
-        assert after["plans"] - before["plans"] == num_blocks
-        assert after["fanouts"] - before["fanouts"] == num_blocks
-        assert after["shard_tasks"] - before["shard_tasks"] == num_blocks * 3
+        return {key: after[key] - before[key]
+                for key in ("plans", "fanouts", "shard_tasks")}
+
+    def test_one_plan_per_release(self, gaussian_points):
+        """A whole release — every subsample block — is exactly one plan =
+        one fan-out = ``num_shards`` shard tasks on the caller's long-lived
+        backend."""
+        backend = ShardedBackend(gaussian_points, num_shards=3, num_workers=0)
+        deltas = self._deltas(backend, lambda: private_mean_estimator(
+            gaussian_points, 10, PARAMS, backend=backend, rng=1, **SA_KWARGS))
+        assert deltas == {"plans": 1, "fanouts": 1, "shard_tasks": 3}
+
+    def test_one_plan_per_stability_estimate(self, gaussian_points):
+        """Every Monte-Carlo repetition rides the same single plan."""
+        backend = ShardedBackend(gaussian_points, num_shards=3, num_workers=0)
+        deltas = self._deltas(backend, lambda: empirical_stability(
+            gaussian_points, BlockMean(), np.array([0.4, 0.6]), 10, 0.1,
+            repetitions=15, backend=backend, rng=5))
+        assert deltas == {"plans": 1, "fanouts": 1, "shard_tasks": 3}
 
 
 class TestLowerBoundParity:
