@@ -28,8 +28,8 @@ for the persisted ``O(n*t)`` statistic versus the radii-chunked streaming
 walk, which stays ``O(n * block)`` at every target.  ``--json`` writes the
 *persisted benchmark trajectory* — distance-slab kernel timings at each size
 plus one sharded ``good_center`` release recording wall time, collective
-round trips, speculation hit rate, the active kernel mode and parent peak
-memory — to ``BENCH_backends.json`` (CI uploads it as an artifact, so the
+round trips, the active kernel mode and parent peak memory — to
+``BENCH_backends.json`` (CI uploads it as an artifact, so the
 numbers accumulate a history across commits).  ``--sample-aggregate``
 appends a Section-6 workload to that trajectory: the same private
 sample-and-aggregate mean release timed on the serial parent-side path and
@@ -64,8 +64,8 @@ JSON_SIZES = (20000, 100000)
 
 #: The end-to-end release config is capped at this n so the JSON run stays
 #: minutes, not hours, on small CI machines (the slab microbenchmark is the
-#: size-sensitive kernel probe; the release config tracks round trips and
-#: speculation, which do not grow with n).
+#: size-sensitive kernel probe; the release config tracks round trips,
+#: which do not grow with n).
 JSON_RELEASE_CAP = 20000
 
 
@@ -410,21 +410,6 @@ def parent_peak_rss_mib() -> float:
     return usage / 1024.0
 
 
-def speculation_summary(stats: dict) -> dict:
-    """Collapse ``pool_stats()['speculation']`` into a JSON-friendly record."""
-    stages = {stage: dict(counters)
-              for stage, counters in stats.get("speculation", {}).items()}
-    hits = sum(int(c["hits"]) for c in stages.values())
-    misses = sum(int(c["misses"]) for c in stages.values())
-    total = hits + misses
-    return {
-        "stages": stages,
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": (hits / total) if total else None,
-    }
-
-
 def bench_json_distance_slab(n: int, rng_seed: int, repeats: int = 3) -> dict:
     """Time one full blocked distance slab — the kernel every backend's
     ``O(n^2)`` neighbor work decomposes into — under the active kernel set.
@@ -463,10 +448,9 @@ def bench_json_release(n: int, rng_seed: int, workers=None) -> dict:
     """One sharded ``good_center`` release on the JL + rotated-axis path.
 
     Records the quantities the JSON trajectory tracks over time: wall
-    seconds, collective round trips, fused-plan count, per-stage speculation
-    counters (and overall hit rate), the active kernel mode, and the parent
-    process's peak memory (tracemalloc for the call, lifetime RSS for the
-    process).
+    seconds, collective round trips, fused-plan count, the active kernel
+    mode, and the parent process's peak memory (tracemalloc for the call,
+    lifetime RSS for the process).
     """
     from repro.core.config import GoodCenterConfig
     from repro.core.good_center import good_center
@@ -502,7 +486,6 @@ def bench_json_release(n: int, rng_seed: int, workers=None) -> dict:
         "round_trips": int(stats["fanouts"] - warm_fanouts),
         "plans": int(stats["plans"]),
         "kernel_mode": stats["kernel_mode"],
-        "speculation": speculation_summary(stats),
         "parent_peak_tracemalloc_mb": peak / 1e6,
         "parent_peak_rss_mib": parent_peak_rss_mib(),
     }
@@ -556,7 +539,6 @@ def bench_json_distributed(n: int, rng_seed: int, num_nodes: int) -> dict:
         "round_trips": int(stats["fanouts"] - warm_fanouts),
         "plans": int(stats["plans"]),
         "kernel_mode": stats["kernel_mode"],
-        "speculation": speculation_summary(stats),
         # Failover counters: all zero on a healthy loopback run — a
         # nonzero value in a trajectory row means the bench itself hit
         # node trouble and its wall time is not comparable.
@@ -737,7 +719,6 @@ def bench_json_sample_aggregate(n: int, rng_seed: int, workers=None) -> dict:
         "round_trips": int(stats["fanouts"]
                            - warm_stats["fanouts"]) // timed_runs,
         "kernel_mode": stats["kernel_mode"],
-        "speculation": speculation_summary(stats),
         "parent_peak_rss_mib": parent_peak_rss_mib(),
     }
 
@@ -805,14 +786,11 @@ def run_json(args) -> None:
                   f"{config['round_trips']} round trips, "
                   f"{config['kernel_mode']})")
         else:
-            rate = config["speculation"]["hit_rate"]
-            rate_text = "n/a" if rate is None else f"{rate:.2f}"
             nodes = (f", {config['num_nodes']} nodes"
                      if "num_nodes" in config else "")
             print(f"  {config['bench']:<20} n={config['n']:>7}: "
                   f"{config['wall_seconds']:.3f}s, "
-                  f"{config['round_trips']} round trips, "
-                  f"speculation hit rate {rate_text}{nodes}")
+                  f"{config['round_trips']} round trips{nodes}")
 
 
 def main() -> None:
@@ -855,8 +833,7 @@ def main() -> None:
                              "PATH (default BENCH_backends.json): distance-"
                              "slab kernel timings per size plus one sharded "
                              "good_center release with wall time, round "
-                             "trips, speculation hit rate, kernel mode and "
-                             "parent peak memory")
+                             "trips, kernel mode and parent peak memory")
     parser.add_argument("--distributed", nargs="?", const=2, default=None,
                         type=int, metavar="NODES",
                         help="with --json: also run the good_center release "

@@ -28,7 +28,7 @@ from repro.core.types import GoodCenterResult, GoodRadiusResult, OneClusterResul
 from repro.geometry.balls import Ball
 from repro.geometry.grid import GridDomain
 from repro.mechanisms.exponential import report_noisy_max
-from repro.neighbors import HAVE_SCIPY_TREE, BackendLike, resolve_backend
+from repro.neighbors import BackendLike, resolve_backend
 from repro.quasiconcave.binary_search import noisy_binary_search
 from repro.quasiconcave.quality import CallableQuality
 from repro.utils.rng import RngLike, spawn_generators
@@ -92,7 +92,7 @@ def exponential_mechanism_cluster(points, target: int, params: PrivacyParams,
         # This baseline's load is the |X|^d candidate centres, not the n data
         # points auto_backend keys on, so default to the tree: each probed
         # radius is one batched query over all centres.
-        backend = "tree" if HAVE_SCIPY_TREE else "chunked"
+        backend = "tree"
     neighbor_backend = resolve_backend(points, backend)
 
     # Binary search for the smallest radius capturing ~t points at some

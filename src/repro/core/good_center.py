@@ -67,36 +67,6 @@ from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points, check_positive, check_probability
 
 
-#: Whether the backend path *speculates* across noise gates: a noise draw
-#: sits between consecutive stages and the later stage's query arguments
-#: depend on it, so plans cannot fuse across a stage boundary — but the
-#: noisy choice usually equals the argmax of the pre-noise counts, and that
-#: argmax is known *before* the noise is drawn.  With the flag on,
-#: GoodCenter submits the next stage's plan for the predicted choice
-#: (:func:`_predict_slot`) via ``backend.submit()`` the moment the current
-#: stage's counts arrive, draws the noise while the workers chew, and then
-#: either consumes the in-flight result (prediction hit — the stage's round
-#: trip overlapped the noise draw) or discards it and executes the real
-#: plan exactly as before (mispredict).  A consumed speculative plan
-#: carries *identical arguments* to the plan it replaces, and a discarded
-#: one is never read, so flipping the flag must not move a byte of any
-#: release — tests/test_query_plans.py forces full mispredict streaks and
-#: asserts exactly that.  Hit/miss counters are recorded per stage on the
-#: backend (surfaced through ``pool_stats()``).  Only strategies with
-#: ``supports_speculation`` opt in (serial backends evaluate ``submit``
-#: eagerly, so a mispredicted speculation there would be pure wasted work).
-_SPECULATIVE_PLANS = True
-
-
-def _predict_slot(counts) -> int:
-    """The pre-noise prediction at a histogram noise gate: the slot of the
-    largest count (first occurrence on ties — deterministic, and the choice
-    the stability histogram is most likely to make).  Module-level so the
-    mispredict regression tests can monkeypatch it into a pathological
-    predictor."""
-    return int(np.argmax(np.asarray(counts)))
-
-
 def _failure(attempts: int, k: int) -> GoodCenterResult:
     return GoodCenterResult(center=None, radius_bound=float("inf"),
                             attempts=attempts, projected_dimension=k)
@@ -239,22 +209,14 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     # partition need not be rehashed in step 7.
     batch_size = 1 if view is None else max(1, int(view.batch_size))
 
-    # Speculation rides the backend path only: predictions are submitted as
-    # plans over BoxSelection predicates, and only strategies whose submit()
-    # genuinely overlaps work opt in.
-    speculate = (view is not None and _SPECULATIVE_PLANS
-                 and resolved.supports_speculation)
-
     chosen_partition: Optional[ShiftedBoxPartition] = None
     chosen_labels: Optional[np.ndarray] = None
-    spec_histogram = None
     attempts = 0
     while attempts < max_attempts and chosen_partition is None:
         batch = [
             ShiftedBoxPartition(dimension=k, width=width, rng=shift_rng)
             for _ in range(min(batch_size, max_attempts - attempts))
         ]
-        search_spec = None
         if view is not None:
             # One plan per batch: the whole attempt batch is a single round
             # trip per shard on the sharded backend.
@@ -264,45 +226,20 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
             )
             counts = resolved.execute(plan)[slot]
             labels_batch = [None] * len(batch)
-            if speculate:
-                # Predict the accepted attempt: the first whose pre-noise
-                # count clears the pre-noise threshold (AboveThreshold's
-                # most likely acceptance).  Ship its step-7 box histogram
-                # while the noisy queries run.
-                passing = np.flatnonzero(
-                    np.asarray([int(c) for c in counts], dtype=np.int64)
-                    >= threshold
-                )
-                if passing.shape[0]:
-                    predicted = int(passing[0])
-                    spec_plan = QueryPlan()
-                    spec_slot = spec_plan.cell_histogram(
-                        view, width, batch[predicted].shifts
-                    )
-                    search_spec = (predicted, spec_slot,
-                                   resolved.submit(spec_plan))
         else:
             labels_batch = [p.label_array(projected) for p in batch]
             counts = [
                 int(np.unique(la, axis=0, return_counts=True)[1].max())
                 for la in labels_batch
             ]
-        accepted_slot = None
-        for batch_slot, (partition, partition_labels, count) in enumerate(
-                zip(batch, labels_batch, counts)):
+        for partition, partition_labels, count in zip(batch, labels_batch,
+                                                      counts):
             attempts += 1
             answer = above.query(int(count))
             if answer.above:
                 chosen_partition = partition
                 chosen_labels = partition_labels
-                accepted_slot = batch_slot
                 break
-        if search_spec is not None:
-            predicted, spec_slot, spec_future = search_spec
-            search_hit = accepted_slot == predicted
-            resolved.record_speculation("search->box", search_hit)
-            if search_hit:
-                spec_histogram = spec_future.result()[spec_slot]
     if chosen_partition is None:
         return _failure(attempts, k)
 
@@ -317,56 +254,14 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     # membership mask, a row list, or the selected coordinates; it only
     # merges the backends' (d,)-shaped aggregate partials.
     if view is not None:
-        if spec_histogram is not None:
-            # search->box hit: the box histogram is already in hand, computed
-            # from the identical (width, shifts) arguments.
-            histogram = spec_histogram
-        else:
-            plan = QueryPlan()
-            slot = plan.cell_histogram(view, width, chosen_partition.shifts)
-            histogram = resolved.execute(plan)[slot]
-        cell_keys, cell_counts = histogram
+        plan = QueryPlan()
+        slot = plan.cell_histogram(view, width, chosen_partition.shifts)
+        cell_keys, cell_counts = resolved.execute(plan)[slot]
     else:
         # The in-parent search already hashed the winning partition.
         cell_keys, cell_counts = first_occurrence_cells(chosen_labels)
     cells = [(tuple(int(index) for index in key), int(count))
              for key, count in zip(cell_keys, cell_counts)]
-
-    # Box-stage speculation: the stability histogram's choice is usually the
-    # heaviest occupied cell, and the next stage's plan for that cell can be
-    # built entirely from pre-noise data — including, on the JL path, the
-    # random basis (its own independent stream, drawn once, so drawing it
-    # before the box noise instead of after cannot change any draw).
-    box_spec = None
-    spec_basis = None
-    spec_interval_length = None
-    spec_frame_view = None
-    if speculate and cells:
-        predicted_key = cells[_predict_slot(cell_counts)][0]
-        predicted_index = np.asarray(predicted_key, dtype=np.int64)
-        spec_selection = view.box_selection(width, chosen_partition.shifts,
-                                            predicted_index)
-        spec_plan = QueryPlan()
-        if identity_projection:
-            # Steps 8-10 are skipped on this path, so the predicted next
-            # frontier is the steps-10-11 statistics over the predicted box's
-            # circumscribed ball.
-            predicted_box = chosen_partition.box_for_label(predicted_key)
-            spec_slot = spec_plan.masked_clipped_sum(
-                view, spec_selection, predicted_box.center,
-                predicted_box.diameter / 2.0,
-            )
-        else:
-            spec_basis = random_orthonormal_basis(dimension, rng=basis_rng)
-            spec_interval_length = config.rotated_interval_length(
-                radius, k, dimension, n, beta, identity_projection
-            )
-            spec_frame_view = resolved.view(spec_basis)
-            spec_slot = spec_plan.masked_axis_histograms(
-                spec_frame_view, spec_selection, spec_interval_length
-            )
-        box_spec = (predicted_key, spec_selection, spec_slot,
-                    resolved.submit(spec_plan))
 
     box_choice = stable_histogram_choice_from_counts(
         cells, PrivacyParams(box_epsilon, quarter_delta), rng=box_rng
@@ -374,30 +269,17 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     if ledger is not None:
         ledger.record("stable_histogram", PrivacyParams(box_epsilon, quarter_delta),
                       note="GoodCenter box choice")
-    box_hit = False
-    if box_spec is not None:
-        box_hit = box_choice.found and tuple(box_choice.key) == box_spec[0]
-        resolved.record_speculation(
-            "box->avg" if identity_projection else "box->axes", box_hit
-        )
     if not box_choice.found:
         return _failure(attempts, k)
     chosen_index = np.asarray(box_choice.key, dtype=np.int64)
     selection = None
     selected = None
-    spec_stats = None
     if view is not None:
-        # On a box-stage hit the speculative selection *is* the chosen one
-        # (same width/shifts/index arguments); reusing it keeps the workers'
-        # token-keyed membership memo warm.
-        selection = (box_spec[1] if box_hit else
-                     view.box_selection(width, chosen_partition.shifts,
-                                        chosen_index))
+        selection = view.box_selection(width, chosen_partition.shifts,
+                                       chosen_index)
         # The histogram already carries the exact occupancy of the chosen
         # box — no membership pass needed for the emptiness guard.
         selected_count = int(box_choice.true_count)
-        if box_hit and identity_projection:
-            spec_stats = (box_spec[3], box_spec[2])
     else:
         in_box = np.all(chosen_labels == chosen_index[None, :], axis=1)
         selected = points[in_box]
@@ -425,18 +307,10 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         # noise draws) and the parent holds O(occupied intervals), never the
         # rotated selected coordinates.
         # ---------------------------------------------------------------- #
-        # The basis stream is independent of every other stream and drawn
-        # from exactly once, so the speculative early draw above (when it
-        # happened) produced the very matrix this line would have — reuse it
-        # rather than advancing the stream a second time.
-        if spec_basis is not None:
-            basis = spec_basis
-            interval_length = spec_interval_length
-        else:
-            basis = random_orthonormal_basis(dimension, rng=basis_rng)
-            interval_length = config.rotated_interval_length(
-                radius, k, dimension, n, beta, identity_projection
-            )
+        basis = random_orthonormal_basis(dimension, rng=basis_rng)
+        interval_length = config.rotated_interval_length(
+            radius, k, dimension, n, beta, identity_projection
+        )
         axis_epsilon = per_step_epsilon_for_advanced(
             axes_epsilon, dimension, delta_prime=params.delta / 8.0
         )
@@ -447,19 +321,12 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         if view is not None:
             # Steps 8-9 are one plan: every axis histogram of the rotated
             # frame (and the selection's membership derivation) rides a
-            # single round trip per shard.  On a box-stage miss the
-            # speculative frame view is still reused — views are keyed by
-            # token in the workers' image cache, so the re-projection done
-            # for the discarded plan is not repeated for the real one.
-            frame_view = (spec_frame_view if spec_frame_view is not None
-                          else resolved.view(basis))
-            if box_hit:
-                axis_histograms = box_spec[3].result()[box_spec[2]]
-            else:
-                plan = QueryPlan()
-                slot = plan.masked_axis_histograms(frame_view, selection,
-                                                   interval_length)
-                axis_histograms = resolved.execute(plan)[slot]
+            # single round trip per shard.
+            frame_view = resolved.view(basis)
+            plan = QueryPlan()
+            slot = plan.masked_axis_histograms(frame_view, selection,
+                                               interval_length)
+            axis_histograms = resolved.execute(plan)[slot]
         else:
             frame_points = project_onto_basis(selected, basis)
             axis_label_matrix = interval_labels(frame_points, interval_length)
@@ -468,35 +335,6 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
                 for axis in range(dimension)
             ]
 
-        # Axes-stage speculation: predict every axis's heavy interval at
-        # once (the per-axis argmaxes), derive the bounding sphere those
-        # predictions imply, and ship the steps-10-11 statistics plan while
-        # the d per-axis noise gates run.  A hit requires *every* axis
-        # choice to land on its prediction — the sphere depends on all of
-        # them.
-        axes_spec = None
-        if speculate:
-            pred_lower = np.empty(dimension)
-            pred_upper = np.empty(dimension)
-            predicted_axis_keys = []
-            pred_partition = AxisIntervalPartition(width=interval_length)
-            for axis in range(dimension):
-                axis_keys, axis_counts = axis_histograms[axis]
-                pred_key = int(axis_keys[_predict_slot(axis_counts)])
-                predicted_axis_keys.append(pred_key)
-                low, high = pred_partition.extended_interval(pred_key)
-                pred_lower[axis] = low
-                pred_upper[axis] = high
-            pred_center = (pred_lower + pred_upper) / 2.0
-            pred_radius = config.bounding_sphere_radius(interval_length,
-                                                        dimension)
-            spec_plan = QueryPlan()
-            spec_slot = spec_plan.masked_clipped_sum(frame_view, selection,
-                                                     pred_center, pred_radius)
-            axes_spec = (predicted_axis_keys, spec_slot,
-                         resolved.submit(spec_plan))
-
-        axes_hit = axes_spec is not None
         lower_bounds = np.empty(dimension)
         upper_bounds = np.empty(dimension)
         for axis in range(dimension):
@@ -507,18 +345,10 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
                 axis_params, rng=axis_rngs[axis],
             )
             if not choice.found:
-                if axes_spec is not None:
-                    resolved.record_speculation("axes->avg", False)
                 return _failure(attempts, k)
-            if axes_spec is not None and int(choice.key) != axes_spec[0][axis]:
-                axes_hit = False
             low, high = partition.extended_interval(int(choice.key))
             lower_bounds[axis] = low
             upper_bounds[axis] = high
-        if axes_spec is not None:
-            resolved.record_speculation("axes->avg", axes_hit)
-            if axes_hit:
-                spec_stats = (axes_spec[2], axes_spec[1])
         if ledger is not None:
             ledger.record("stable_histogram_axes",
                           PrivacyParams(axes_epsilon, quarter_delta),
@@ -546,18 +376,10 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         # arrive in a single round trip per shard.  The sphere's centre
         # depends on the step-9 noise, so this frontier cannot fuse with the
         # axis-histogram plan without changing the release.
-        if spec_stats is not None:
-            # A box-stage (identity path) or axes-stage (JL path) hit: the
-            # in-flight statistics were computed from the same
-            # (selection, centre, radius) this plan would carry — the
-            # predicted sphere is a deterministic function of the predicted
-            # choices, which all landed.
-            stats = spec_stats[0].result()[spec_stats[1]]
-        else:
-            plan = QueryPlan()
-            slot = plan.masked_clipped_sum(frame_view, selection,
-                                           sphere_center, sphere_radius)
-            stats = resolved.execute(plan)[slot]
+        plan = QueryPlan()
+        slot = plan.masked_clipped_sum(frame_view, selection,
+                                       sphere_center, sphere_radius)
+        stats = resolved.execute(plan)[slot]
         captured = int(stats.count)
         average = noisy_average_from_stats(
             stats.count, stats.vector_sum, diameter=2.0 * sphere_radius,

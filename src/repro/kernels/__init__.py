@@ -23,11 +23,10 @@ Selection happens once, at import time:
 
 * ``REPRO_KERNELS=python`` — force the reference kernels (numba never
   imported).
-* ``REPRO_KERNELS=native`` — require the native kernels; if numba (or scipy,
-  whose ``cdist`` accumulation order the native slab is pinned to) is
+* ``REPRO_KERNELS=native`` — require the native kernels; if numba is
   missing, a warning is emitted and the reference kernels are used.
-* unset — native when numba *and* scipy are importable, reference otherwise
-  (no warning; absence of optional accelerators is not an error).
+* unset — native when numba is importable, reference otherwise (no
+  warning; absence of an optional accelerator is not an error).
 
 Because the choice is made at import and both modes compute bitwise
 identical values, no released byte ever depends on ``REPRO_KERNELS`` — the
@@ -68,16 +67,6 @@ def _requested_mode() -> str:
 
 def _load_native(requested: bool):
     """Try to import the native kernel set; explain failures when forced."""
-    if not _reference.HAVE_SCIPY_CDIST:
-        if requested:
-            warnings.warn(
-                "REPRO_KERNELS=native requires scipy (the native distance "
-                "slab is pinned to cdist's accumulation order); falling back "
-                "to the pure-python kernels",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return None
     try:
         from repro.kernels import _native
     except ImportError as error:
@@ -123,7 +112,6 @@ def kernel_info() -> dict:
     return {
         "mode": KERNEL_MODE,
         "requested": _MODE_REQUESTED,
-        "have_scipy_cdist": _reference.HAVE_SCIPY_CDIST,
     }
 
 

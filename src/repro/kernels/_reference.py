@@ -16,16 +16,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly on scipy installs
-    from scipy.spatial.distance import cdist as _cdist
-except ImportError:  # pragma: no cover - scipy-less environments
-    _cdist = None
-
-#: Whether scipy's ``cdist`` (the distance-slab reference kernel) is
-#: available.  The native slab is pinned to cdist's left-to-right
-#: accumulation order, so native mode requires it.
-HAVE_SCIPY_CDIST = _cdist is not None
+from scipy.spatial.distance import cdist
 
 #: Every finite float64 is an integer multiple of ``2**-SCALE_BITS``
 #: (mirrors :data:`repro.utils.exactsum.SCALE_BITS`; kept local because
@@ -55,10 +46,7 @@ def squared_distance_slab(queries: np.ndarray,
     scipy's ``cdist`` accumulates ``(x_a - y_a)^2`` left-to-right over the
     axes — the order the native kernel replicates term for term.
     """
-    if _cdist is not None:
-        return _cdist(queries, data, metric="sqeuclidean")
-    difference = queries[:, None, :] - data[None, :, :]
-    return np.einsum("qnd,qnd->qn", difference, difference)
+    return cdist(queries, data, metric="sqeuclidean")
 
 
 def squared_distance_gather(queries: np.ndarray,
@@ -68,12 +56,9 @@ def squared_distance_gather(queries: np.ndarray,
     :func:`repro.neighbors._distance.squared_distance_gather` for why this
     is bitwise the slab kernel's value)."""
     difference = neighbors - queries[:, None, :]
-    if _cdist is not None:
-        q, k, d = difference.shape
-        flat = np.ascontiguousarray(difference.reshape(q * k, d))
-        return _cdist(flat, np.zeros((1, d)),
-                      metric="sqeuclidean").reshape(q, k)
-    return np.einsum("qkd,qkd->qk", difference, difference)
+    q, k, d = difference.shape
+    flat = np.ascontiguousarray(difference.reshape(q * k, d))
+    return cdist(flat, np.zeros((1, d)), metric="sqeuclidean").reshape(q, k)
 
 
 def fused_box_labels(points: np.ndarray, shifts: np.ndarray,

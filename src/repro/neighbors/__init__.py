@@ -11,9 +11,8 @@ interchangeable strategies:
   ``(n, n)`` distance matrix; fastest for small ``n``, ``O(n^2)`` memory.
 * :class:`~repro.neighbors.chunked.ChunkedBackend` — blocked brute force with
   a fixed memory budget; any ``n``, ``O(n * block)`` memory.
-* :class:`~repro.neighbors.tree.TreeBackend` — scipy ``cKDTree`` (pure-python
-  KD-tree fallback) radius counting; the right choice for large ``n`` in low
-  dimension.
+* :class:`~repro.neighbors.tree.TreeBackend` — scipy ``cKDTree`` radius
+  counting; the right choice for large ``n`` in low dimension.
 * :class:`~repro.neighbors.sharded.ShardedBackend` — the dataset sharded
   across worker processes over a shared-memory block, each shard answered by
   one of the strategies above, per-shard results merged exactly; the right
@@ -73,7 +72,7 @@ from repro.neighbors.base import (
 from repro.neighbors.chunked import ChunkedBackend
 from repro.neighbors.dense import DenseBackend
 from repro.neighbors.sharded import ShardedBackend, _available_cpus
-from repro.neighbors.tree import HAVE_SCIPY_TREE, TreeBackend
+from repro.neighbors.tree import TreeBackend
 from repro.utils.validation import check_points
 
 #: Strategy registry, keyed by the names accepted in configs and CLIs.
@@ -121,7 +120,7 @@ def auto_backend(num_points: int, dimension: int) -> str:
       points across worker processes; each shard is answered by its own
       auto-chosen single-process backend, so this dominates whichever
       strategy would otherwise win.
-    * ``d <= TREE_MAX_DIMENSION`` (scipy available) — KD-trees; higher
+    * ``d <= TREE_MAX_DIMENSION`` — KD-trees; higher
       dimensions degrade tree pruning to brute force with extra overhead.
     * otherwise — blocked brute force, the safe choice at any size.
 
@@ -145,7 +144,7 @@ def auto_backend(num_points: int, dimension: int) -> str:
         return DenseBackend.name
     if num_points >= SHARDED_MIN_POINTS and _available_cpus() > 1:
         return ShardedBackend.name
-    if dimension <= TREE_MAX_DIMENSION and HAVE_SCIPY_TREE:
+    if dimension <= TREE_MAX_DIMENSION:
         return TreeBackend.name
     return ChunkedBackend.name
 
@@ -229,7 +228,6 @@ __all__ = [
     "STREAMING_MIN_POINTS",
     "STREAMING_TARGET_FRACTION",
     "TREE_MAX_DIMENSION",
-    "HAVE_SCIPY_TREE",
     "BoxSelection",
     "ClippedSum",
     "NeighborBackend",

@@ -21,11 +21,6 @@ import numpy as np
 
 from repro import kernels as _kernels
 
-try:  # pragma: no cover - exercised implicitly on scipy installs
-    from scipy.spatial.distance import cdist as _cdist
-except ImportError:  # pragma: no cover - scipy-less environments
-    _cdist = None
-
 #: Default cap, in bytes, on the scratch memory a blocked pass may hold.
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
 
@@ -46,7 +41,7 @@ def squared_distance_block(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Exact ``(q, n)`` squared Euclidean distances, by direct differencing.
 
     Dispatches to the active kernel set (:mod:`repro.kernels`): scipy
-    ``cdist`` / einsum in python mode, the numba slab — bitwise identical
+    ``cdist`` in python mode, the numba slab — bitwise identical
     by its fixed left-to-right accumulation order — in native mode.
     """
     return _kernels.squared_distance_slab(queries, data)
@@ -59,16 +54,14 @@ def squared_distance_gather(queries: np.ndarray,
     ``neighbors`` is ``(q, k, d)``: row ``i`` holds ``k`` candidate points
     for query ``i`` (e.g. KD-tree nearest-neighbour results).  Returns the
     ``(q, k)`` squared distances **bitwise identical** to the corresponding
-    entries of :func:`squared_distance_block` — which matters because scipy's
-    ``cdist`` and numpy's einsum round the per-pair sum differently in the
-    last ulp, and mixing the two kernels across backends would break the
-    exact-parity contract (the tree backend's truncated statistic would
-    disagree with dense/chunked on generic float data).  On the scipy path
-    the pairs are translated to the origin — ``||x - y||^2`` equals
-    ``||(y - x) - 0||^2`` term for term, the inner subtraction being the same
-    single rounding — and pushed through the same ``cdist`` kernel in one
-    call; the scipy-less path shares the einsum formula with the blocked
-    fallback.
+    entries of :func:`squared_distance_block` — which matters because any
+    other summation order (e.g. numpy's einsum) rounds the per-pair sum
+    differently in the last ulp, and mixing kernels across backends would
+    break the exact-parity contract (the tree backend's truncated statistic
+    would disagree with dense/chunked on generic float data).  The pairs are
+    translated to the origin — ``||x - y||^2`` equals ``||(y - x) - 0||^2``
+    term for term, the inner subtraction being the same single rounding —
+    and pushed through the same ``cdist`` kernel in one call.
     """
     queries = np.asarray(queries, dtype=float)
     neighbors = np.asarray(neighbors, dtype=float)
@@ -79,13 +72,13 @@ def row_block_size(num_points: int, dimension: int,
                    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:
     """How many query rows a blocked distance pass may process at once.
 
-    Sized so one block's scratch (the ``(block, n)`` distance slab, or the
-    ``(block, n, d)`` difference tensor on the scipy-less path) stays within
-    the memory budget; clamped to ``[16, 4096]`` so tiny budgets still make
-    progress and huge ones do not defeat the cache.
+    Sized so one block's scratch (the ``(block, n)`` distance slab and its
+    comparison mask, two 8-byte slots per entry) stays within the memory
+    budget; clamped to ``[16, 4096]`` so tiny budgets still make progress and
+    huge ones do not defeat the cache.  ``dimension`` does not enter the
+    size: ``cdist`` never materialises a ``(block, n, d)`` tensor.
     """
-    per_row_elements = num_points * (dimension + 2 if _cdist is None else 2)
-    block = memory_budget_bytes // max(1, 8 * per_row_elements)
+    block = memory_budget_bytes // max(1, 16 * num_points)
     return int(min(4096, max(16, block)))
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -980,45 +980,17 @@ class NeighborBackend(abc.ABC):
     #: matrix, so recomputing distances would only slow it down.
     streaming_auto: ClassVar[bool] = True
 
-    #: Whether speculative plan submission pays off on this strategy.  Only
-    #: strategies whose :meth:`submit` genuinely overlaps work with the
-    #: parent (or whose plan execution is instrumented for the regression
-    #: tests) opt in; serial strategies evaluate ``submit`` eagerly, so a
-    #: speculative plan there is pure wasted work on a mispredict.
-    supports_speculation: ClassVar[bool] = False
-
     def __init__(self, points) -> None:
         self._points = check_points(points)
         #: ``(k, truncated, sorted_columns)`` at the largest ``k`` seen; the
         #: sorted columns are built on the first persisted profile.
         self._truncated_cache: Optional[
             Tuple[int, np.ndarray, Optional[np.ndarray]]] = None
-        #: Per-stage speculative-execution accounting, recorded by callers
-        #: (GoodCenter's noise-gate predictor) via :meth:`record_speculation`.
-        self._speculation: Dict[str, Dict[str, int]] = {}
 
-    # ------------------------------------------------------------------ #
-    # Speculative-execution accounting
-    # ------------------------------------------------------------------ #
     def record_speculation(self, stage: str, hit: bool) -> None:
-        """Record the outcome of one speculative plan submission.
-
-        ``stage`` names the noise gate the prediction crossed (e.g.
-        ``"box->axes"``); every submitted speculation is recorded exactly
-        once — as a hit when the noisy choice matched the pre-noise argmax
-        prediction and the speculative result was consumed, as a miss when
-        it was discarded.  Purely diagnostic: the counters never influence
-        any query or release.
-        """
-        entry = self._speculation.setdefault(str(stage),
-                                             {"hits": 0, "misses": 0})
-        entry["hits" if hit else "misses"] += 1
-
-    def speculation_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-stage ``{"hits": ..., "misses": ...}`` speculation counters
-        (a copy; empty until a caller speculates through this backend)."""
-        return {stage: dict(entry)
-                for stage, entry in self._speculation.items()}
+        """No-op tracer hook: nothing in the library speculates.  It exists
+        because ``clusterbench/tracing.py`` wraps it by name for its
+        ``neighbors.speculation*`` metrics, which therefore read 0."""
 
     # ------------------------------------------------------------------ #
     # Dataset

@@ -163,10 +163,6 @@ class DistributedBackend(ShardedBackend):
 
     name = "distributed"
 
-    #: Plans are pipelined onto every node's socket at submit time, so
-    #: speculative plans genuinely overlap the coordinator's other work.
-    supports_speculation: ClassVar[bool] = True
-
     #: Budget for the pre-adoption health probe of a surviving node.
     PING_TIMEOUT: ClassVar[float] = 5.0
 
@@ -538,7 +534,6 @@ class DistributedBackend(ShardedBackend):
         stats["num_nodes"] = self.num_nodes
         stats["live_nodes"] = len(self.live_nodes)
         stats["kernel_mode"] = _kernels.KERNEL_MODE
-        stats["speculation"] = self.speculation_stats()
         pendings: List[Optional[PendingReply]] = []
         for node, client in enumerate(self._clients):
             if not self._live[node] or not client.alive:

@@ -29,9 +29,12 @@ binary format, msgpack-shaped but dependency-free:
 
 Framing is an 8-byte big-endian length prefix per message.  Every
 transport-level failure — connection refused, EOF mid-frame, a read
-timeout — surfaces as :class:`BackendUnavailableError`; the encoding
-itself raises ``TypeError``/``ValueError`` on unsupported payloads, which
-is a programming error, not a transport one.
+timeout — surfaces as :class:`BackendUnavailableError`.  The encoder
+raises ``TypeError``/``ValueError`` on unsupported payloads, which is a
+programming error, not a transport one.  The decoder is total: any byte
+string either decodes or raises ``ValueError`` (nesting is bounded by
+:data:`MAX_NESTING`), and both ends treat a frame that does not decode like
+a dead connection.
 """
 
 from __future__ import annotations
@@ -64,6 +67,11 @@ _FRAME_HEADER = struct.Struct(">Q")
 #: prefix must not make a node try to allocate petabytes.
 MAX_FRAME_BYTES = 1 << 30
 
+#: Deepest container nesting :func:`decode` accepts.  Real payloads nest a
+#: handful of levels; the bound turns a hostile deeply nested frame into a
+#: ``ValueError`` instead of a ``RecursionError``.
+MAX_NESTING = 64
+
 # Type tags (one byte each).
 _T_NONE = b"N"
 _T_TRUE = b"T"
@@ -84,6 +92,11 @@ _INT64_MAX = (1 << 63) - 1
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
+
+
+def _wire_key(key: Any) -> bool:
+    """Whether ``key`` may key a wire dict (encoder and decoder alike)."""
+    return key is None or isinstance(key, (str, bool, int, float))
 
 
 def _encode_into(out: io.BytesIO, value: Any) -> None:
@@ -141,7 +154,7 @@ def _encode_into(out: io.BytesIO, value: Any) -> None:
         out.write(_T_DICT)
         out.write(_U32.pack(len(value)))
         for key, item in value.items():
-            if not (key is None or isinstance(key, (str, bool, int, float))):
+            if not _wire_key(key):
                 raise TypeError(
                     "wire dict keys must be scalars, got "
                     f"{type(key).__name__}"
@@ -177,7 +190,7 @@ class _Reader:
         return piece
 
 
-def _decode_from(reader: _Reader) -> Any:
+def _decode_from(reader: _Reader, depth: int) -> Any:
     tag = reader.take(1)
     if tag == _T_NONE:
         return None
@@ -198,18 +211,34 @@ def _decode_from(reader: _Reader) -> Any:
     if tag == _T_BYTES:
         (length,) = _FRAME_HEADER.unpack(reader.take(8))
         return reader.take(length)
-    if tag in (_T_LIST, _T_TUPLE):
+    if tag in (_T_LIST, _T_TUPLE, _T_DICT):
+        if depth >= MAX_NESTING:
+            raise ValueError(
+                f"wire payload nests deeper than {MAX_NESTING} containers"
+            )
         (count,) = _U32.unpack(reader.take(4))
-        items = [_decode_from(reader) for _ in range(count)]
-        return tuple(items) if tag == _T_TUPLE else items
-    if tag == _T_DICT:
-        (count,) = _U32.unpack(reader.take(4))
-        return {_decode_from(reader): _decode_from(reader)
-                for _ in range(count)}
+        if tag != _T_DICT:
+            items = [_decode_from(reader, depth + 1) for _ in range(count)]
+            return tuple(items) if tag == _T_TUPLE else items
+        result = {}
+        for _ in range(count):
+            key = _decode_from(reader, depth + 1)
+            if not _wire_key(key):
+                raise ValueError(
+                    f"wire dict key of type {type(key).__name__}"
+                )
+            result[key] = _decode_from(reader, depth + 1)
+        return result
     if tag == _T_ARRAY:
         (descr_length,) = _U32.unpack(reader.take(4))
-        dtype = np.dtype(reader.take(descr_length).decode("ascii"))
-        if dtype.hasobject:  # pragma: no cover - encoder refuses these
+        descr = reader.take(descr_length).decode("ascii")
+        try:
+            dtype = np.dtype(descr)
+        except (TypeError, SyntaxError) as error:
+            # numpy's parser raises these (besides ValueError) on
+            # arbitrary text.
+            raise ValueError(f"bad wire dtype {descr!r}") from error
+        if dtype.hasobject:
             raise ValueError("object-dtype arrays cannot cross the wire")
         (ndim,) = _U32.unpack(reader.take(4))
         shape = tuple(_I64.unpack(reader.take(8))[0] for _ in range(ndim))
@@ -225,9 +254,11 @@ def _decode_from(reader: _Reader) -> Any:
 
 
 def decode(data: bytes) -> Any:
-    """Inverse of :func:`encode` (bitwise: arrays and floats exactly)."""
+    """Inverse of :func:`encode` (bitwise: arrays and floats exactly).
+
+    Raises ``ValueError`` — and nothing else — on a malformed payload."""
     reader = _Reader(data)
-    value = _decode_from(reader)
+    value = _decode_from(reader, 0)
     if reader.pos != len(reader.data):
         raise ValueError("trailing bytes after wire payload")
     return value
@@ -521,7 +552,10 @@ class NodeClient:
                 )
             try:
                 message = recv_message(self._sock, deadline=deadline)
-            except (BackendUnavailableError, OSError) as error:
+            except (BackendUnavailableError, OSError, ValueError) as error:
+                # ValueError: a frame that does not decode.  Its reply is
+                # lost, so the FIFO pairing of later replies cannot be
+                # trusted; the connection is as good as dead.
                 raise self._mark_dead(error) from error
             self._pending.pop(0)._resolve(message)
 
@@ -542,9 +576,10 @@ class NodeClient:
                 return
             try:
                 message = recv_message(self._sock, timeout=self.timeout)
-            except (BackendUnavailableError, OSError) as error:
-                # EOF or a real transport error: poison the client so the
-                # next wait() fails fast instead of blocking.
+            except (BackendUnavailableError, OSError, ValueError) as error:
+                # EOF, a real transport error or an undecodable frame:
+                # poison the client so the next wait() fails fast instead
+                # of blocking (or pairing a later reply with this request).
                 self._mark_dead(error)
                 return
             self._pending.pop(0)._resolve(message)

@@ -183,6 +183,8 @@ class NodeServer:
                     request = recv_message(conn)
                 except BackendUnavailableError:
                     break  # peer closed (or stop() shut the socket down)
+                except ValueError:
+                    break  # undecodable frame: drop the connection
                 op = request[0] if isinstance(request, tuple) and request \
                     else None
                 # Fault-injection ops manipulate the socket itself, so they

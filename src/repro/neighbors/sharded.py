@@ -172,7 +172,6 @@ class _ShardSet:
         if shard not in self._backends:
             from repro.neighbors import (
                 BACKENDS,
-                HAVE_SCIPY_TREE,
                 TREE_MAX_DIMENSION,
                 auto_backend,
             )
@@ -187,8 +186,7 @@ class _ShardSet:
                 # fall through to the remaining single-process heuristics
                 # for a shard this large.
                 d = shard_points.shape[1]
-                name = ("tree" if d <= TREE_MAX_DIMENSION and HAVE_SCIPY_TREE
-                        else "chunked")
+                name = "tree" if d <= TREE_MAX_DIMENSION else "chunked"
             self._backends[shard] = BACKENDS[name](shard_points)
         return self._backends[shard]
 
@@ -235,8 +233,8 @@ class _ShardSet:
         """Every dataset point's ``min(k, shard size)`` smallest squared
         distances to this shard's points, row-sorted.
 
-        When the shard's inner backend is (or would be) a scipy KD-tree,
-        the cross-query runs through it —
+        When the shard's inner backend is (or would be) a KD-tree, the
+        cross-query runs through it —
         :meth:`~repro.neighbors.tree.TreeBackend.truncated_squared_cross`
         selects neighbour indices in ``O(n k log shard)`` and recomputes the
         squared values through the shared gather kernel, so the statistic is
@@ -246,30 +244,24 @@ class _ShardSet:
         low, high = self.bounds[shard]
         shard_points = self.points[low:high]
         if self._truncated_via_tree(shard):
-            from repro.neighbors.tree import TreeBackend
-
-            backend = self.backend(shard)
-            if isinstance(backend, TreeBackend) and backend.uses_scipy:
-                return backend.truncated_squared_cross(
-                    self.points, min(int(k), high - low)
-                )
+            return self.backend(shard).truncated_squared_cross(
+                self.points, min(int(k), high - low)
+            )
         block = row_block_size(high - low, self.points.shape[1])
         return truncated_squared_cross(self.points, shard_points, k, block)
 
     def _truncated_via_tree(self, shard: int) -> bool:
         """Whether this shard's truncated statistic should go through a
-        scipy tree: yes when the shard's inner backend is already a scipy
-        tree, or when the (unbuilt) inner choice would be ``"tree"`` — the
-        one case building the index just for this query pays, because the
-        built backend is the same one later point queries reuse."""
-        from repro.neighbors import HAVE_SCIPY_TREE, auto_backend
+        KD-tree: yes when the shard's inner backend is already a tree, or
+        when the (unbuilt) inner choice would be ``"tree"`` — the one case
+        building the index just for this query pays, because the built
+        backend is the same one later point queries reuse."""
+        from repro.neighbors import auto_backend
         from repro.neighbors.tree import TreeBackend
 
-        if not HAVE_SCIPY_TREE:
-            return False
         backend = self._backends.get(shard)
         if backend is not None:
-            return isinstance(backend, TreeBackend) and backend.uses_scipy
+            return isinstance(backend, TreeBackend)
         low, high = self.bounds[shard]
         name = self.inner_backend
         if name == "auto":
@@ -737,8 +729,6 @@ class _StealingBatch:
         queue = self._queues[slot]
         if queue:
             return queue.popleft(), False
-        if not self._backend.WORK_STEALING:
-            return None, False
         victim = max(range(len(self._queues)),
                      key=lambda s: (len(self._queues[s]), -s))
         if not self._queues[victim]:
@@ -1015,13 +1005,6 @@ class ShardedBackend(NeighborBackend):
 
     name = "sharded"
 
-    #: Plans submitted here run genuinely in flight (pool mode), so
-    #: GoodCenter's noise-gate predictor speculates through this strategy;
-    #: the serial fallback still opts in — the speculative plan is the same
-    #: shard/merge work either way, which keeps the regression tests
-    #: deterministic without a pool.
-    supports_speculation: ClassVar[bool] = True
-
     #: Partition-search attempts batched per heaviest-cell request.
     HEAVIEST_CELL_BATCH: ClassVar[int] = 8
 
@@ -1032,12 +1015,6 @@ class ShardedBackend(NeighborBackend):
     #: number of occupied boxes.  ``None`` disables the truncation (full
     #: per-shard histograms, the pre-bounded behaviour).
     HEAVIEST_CELL_TOP_K: ClassVar[Optional[int]] = 64
-
-    #: Whether a worker slot that drains its own affinity queue may steal
-    #: queued tasks from other slots (see :class:`_StealingBatch`).  A pure
-    #: wall-clock lever: results are merged in task order either way, so
-    #: released values are bitwise identical with stealing on or off.
-    WORK_STEALING: ClassVar[bool] = True
 
     def __init__(self, points, num_shards: Optional[int] = None,
                  num_workers: Optional[int] = None,
@@ -1111,7 +1088,6 @@ class ShardedBackend(NeighborBackend):
         stats["requested_workers"] = self._requested_workers
         stats["parallel"] = self._executors is not None
         stats["kernel_mode"] = _kernels.KERNEL_MODE
-        stats["speculation"] = self.speculation_stats()
         if self._executors is not None:
             try:
                 stats["workers"] = [

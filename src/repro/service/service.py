@@ -24,8 +24,8 @@ process would embed:
 Why one executor thread per dataset
 -----------------------------------
 Backend instances are deliberately *not* thread-safe (truncated-distance
-caches, speculation state, view caches, pool counters — all unlocked hot
-paths), so the service serialises queries per dataset and gets its
+caches, view caches, pool counters — all unlocked hot paths), so the
+service serialises queries per dataset and gets its
 concurrency from two other places: distinct datasets execute on distinct
 threads, and a single query already fans out across the backend's own
 worker pool (or node cluster).  Serial-per-dataset execution is also what

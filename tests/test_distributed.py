@@ -9,10 +9,10 @@ The contract, in three layers:
 * **Parity**: a :class:`~repro.neighbors.distributed.DistributedBackend`
   over 1/2/3 loopback node servers releases *bitwise* the same values as
   the dense in-process reference — raw queries, fused plans, GoodRadius,
-  GoodCenter (both projection paths, speculation on and off), and
-  k_cluster through the config path.  Shard partials merge in shard order
-  no matter which socket answered them, so this is parity by construction;
-  these tests pin that the construction holds.
+  GoodCenter (both projection paths), and k_cluster through the config
+  path.  Shard partials merge in shard order no matter which socket
+  answered them, so this is parity by construction; these tests pin that
+  the construction holds.
 * **Failure**: with failover on (the default), a dead node is re-dialed
   (replaying ``init``) or its shards are adopted by the survivors in ring
   order, only its batch is replayed, and the release does not move a byte
@@ -28,9 +28,11 @@ truncated statistic (property-tested against the brute-force kernel).
 """
 
 import os
+import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 
@@ -58,14 +60,10 @@ from repro.neighbors.rpc import (
     decode,
     encode,
     parse_node_address,
+    write_frame,
 )
 from repro.neighbors.serve import NodeServer
 from repro.neighbors.tree import TreeBackend
-
-# `repro.core.__init__` re-exports the good_center *function* as an
-# attribute of the package, shadowing the submodule on attribute lookup —
-# go through sys.modules for the module object (the speculation seam).
-good_center_module = sys.modules["repro.core.good_center"]
 
 NODE_COUNTS = (1, 2, 3)
 
@@ -187,6 +185,22 @@ class TestWireEncoding:
             encode({(1, 2): "tuple keys do not round-trip"})
         with pytest.raises(TypeError):
             encode({"ok": {"nested": object()}})
+
+    #: Malformed frames that once escaped ``decode`` as ``TypeError`` or
+    #: ``RecursionError``: a list used as a dict key, a dtype string numpy
+    #: cannot parse, and 100k nested lists.
+    MALFORMED_FRAMES = {
+        "list-dict-key": b"m" + struct.pack(">I", 1)
+                         + b"l" + struct.pack(">I", 0) + b"N",
+        "unknown-dtype": b"a" + struct.pack(">I", 5) + b"bogus"
+                         + struct.pack(">I", 0) + struct.pack(">Q", 0),
+        "deep-nesting": (b"l" + struct.pack(">I", 1)) * 100_000 + b"N",
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FRAMES))
+    def test_malformed_frame_raises_value_error(self, name):
+        with pytest.raises(ValueError):
+            decode(self.MALFORMED_FRAMES[name])
 
     def test_box_selection_spec_round_trips_tokens(self):
         """The BoxSelection wire spec — selection token, view cache token,
@@ -368,30 +382,6 @@ class TestLoopbackParity:
         noise = rng.uniform(0, 1, size=(300, dimension))
         return np.vstack([cluster, noise])
 
-    def test_speculation_does_not_change_release(self, medium_cluster_data,
-                                                 monkeypatch):
-        """DistributedBackend pipelines speculative plans onto the node
-        sockets; hit or miss, the release must not move a byte."""
-        points = medium_cluster_data.points
-        params = PrivacyParams(8.0, 1e-5)
-        with distributed_backend(points, 2, num_shards=4) as backend:
-            assert backend.supports_speculation
-            speculated = good_center(points, radius=0.05, target=400,
-                                     params=params, rng=3, backend=backend)
-            stats = backend.pool_stats()["speculation"]
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        with distributed_backend(points, 2, num_shards=4) as backend:
-            plain = good_center(points, radius=0.05, target=400,
-                                params=params, rng=3, backend=backend)
-        speculated_plans = sum(entry.get("hits", 0) + entry.get("misses", 0)
-                               for entry in stats.values())
-        assert speculated_plans > 0
-        assert speculated.found == plain.found
-        assert speculated.attempts == plain.attempts
-        if plain.found:
-            assert np.array_equal(speculated.center, plain.center)
-            assert speculated.radius_bound == plain.radius_bound
-
     def test_k_cluster_release_identical_via_config(self):
         from repro.datasets.synthetic import gaussian_blobs
 
@@ -558,6 +548,53 @@ class TestFaultInjection:
                 future.result()
             with pytest.raises(BackendUnavailableError):
                 future.result()  # still an error on re-ask, never a value
+
+    def test_corrupt_reply_poisons_client(self):
+        """A reply frame that does not decode is a dead connection: the
+        awaited reply raises BackendUnavailableError (the failover path's
+        trigger), and the request queued behind it fails too instead of
+        being handed the next reply on the stream."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            client = NodeClient(*listener.getsockname()[:2])
+            peer, _ = listener.accept()
+            try:
+                first = client.send(("ping",))
+                second = client.send(("ping",))
+                write_frame(peer, TestWireEncoding.MALFORMED_FRAMES[
+                    "list-dict-key"])
+                write_frame(peer, encode({"status": "ok", "value": None}))
+                with pytest.raises(BackendUnavailableError):
+                    first.wait(timeout=5.0)
+                assert not client.alive
+                with pytest.raises(BackendUnavailableError):
+                    second.wait(timeout=5.0)
+            finally:
+                client.close()
+                peer.close()
+        finally:
+            listener.close()
+
+    def test_node_drops_connection_on_corrupt_request(self, monkeypatch):
+        """A request frame that does not decode makes the node close that
+        connection cleanly — no exception escapes its connection thread —
+        and the node keeps serving new connections."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        with NodeServer() as server:
+            server.start()
+            for frame in TestWireEncoding.MALFORMED_FRAMES.values():
+                raw = socket.create_connection((server.host, server.port),
+                                               timeout=5.0)
+                try:
+                    write_frame(raw, frame)
+                    assert raw.recv(1) == b""   # closed, no reply
+                finally:
+                    raw.close()
+            client = NodeClient(server.host, server.port)
+            assert client.ping()
+            client.close()
+        assert escaped == []
 
     def test_read_timeout_is_total_deadline(self):
         """The per-call timeout is one overall deadline across every
@@ -917,9 +954,8 @@ class TestFailover:
                                                     monkeypatch):
         """The acceptance pin: a `good_center` release with a node killed
         mid-run is byte-identical to the healthy-topology release.  The
-        kill lands between collectives of the same run (while speculative
-        plans may be in flight), so both the synchronous and the
-        submitted-plan recovery paths are exercised."""
+        kill lands between collectives of the same run, so the failover
+        path re-runs a stage's batch and the release must not notice."""
         points = medium_cluster_data.points
         params = PrivacyParams(8.0, 1e-5)
         reference = good_center(points, radius=0.05, target=400,
@@ -1078,22 +1114,6 @@ class TestWorkStealing:
         assert stats["stolen_tasks"] > 0
         for counts, reference in zip(got, expected):
             assert np.array_equal(counts, reference)
-
-    @pytest.mark.slow
-    def test_stealing_disabled_keeps_affinity(self, monkeypatch):
-        monkeypatch.setattr(ShardedBackend, "WORK_STEALING", False)
-        monkeypatch.setattr(sharded_module, "_TASK_DELAY",
-                            ("counts", 0, 0.25))
-        points = np.random.default_rng(9).uniform(size=(200, 2))
-        pool = ShardedBackend(points, num_shards=6, num_workers=2)
-        try:
-            counts = pool.radius_counts(0.4)
-            stats = pool.pool_stats()
-        finally:
-            pool.close()
-        assert stats["stolen_tasks"] == 0
-        assert np.array_equal(counts, DenseBackend(points).radius_counts(0.4))
-
 
 class TestTreeTruncatedCross:
     """The tree-backed per-shard truncated statistic is bitwise the

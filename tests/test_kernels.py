@@ -15,10 +15,9 @@ Three contracts are pinned here:
   ``fixed_point_sum`` of that column — for any split of the rows, in any
   merge order.
 * **Import-time selection.**  ``REPRO_KERNELS=python`` forces the reference
-  set, ``=native`` falls back (with a warning) when numba or scipy is
-  missing, an invalid value raises, and the default is silent
-  auto-detection.  These run in subprocesses: the choice is made once at
-  import.
+  set, ``=native`` falls back (with a warning) when numba is missing, an
+  invalid value raises, and the default is silent auto-detection.  These
+  run in subprocesses: the choice is made once at import.
 """
 
 import math
@@ -49,7 +48,7 @@ except ImportError:  # pragma: no cover - environment probe
 
 needs_native = pytest.mark.skipif(
     not kernels.HAVE_NATIVE,
-    reason="native kernels unavailable (numba or scipy missing)",
+    reason="native kernels unavailable (numba missing)",
 )
 
 
@@ -299,7 +298,7 @@ class TestImportTimeSelection:
     def test_dispatch_surface(self):
         assert kernels.KERNEL_MODE in kernels.KERNEL_MODES
         info = kernels.kernel_info()
-        assert set(info) == {"mode", "requested", "have_scipy_cdist"}
+        assert set(info) == {"mode", "requested"}
         assert info["mode"] == kernels.KERNEL_MODE
         if not kernels.HAVE_NATIVE:
             assert (kernels.squared_distance_slab

@@ -1,9 +1,9 @@
 """Tests for the pluggable neighbor-backend layer.
 
-The contract under test: Dense, Chunked, and Tree (scipy and pure-python)
-backends are *interchangeable* — identical integer counts and identical
-``L(r, S)`` values on random and adversarial datasets — and the non-dense
-strategies never materialise an ``(n, n)`` distance matrix.
+The contract under test: Dense, Chunked, and Tree backends are
+*interchangeable* — identical integer counts and identical ``L(r, S)``
+values on random and adversarial datasets — and the non-dense strategies
+never materialise an ``(n, n)`` distance matrix.
 """
 
 import tracemalloc
@@ -34,19 +34,12 @@ from repro.neighbors import (
 
 
 def all_backends(points):
-    """One instance of every strategy (both tree variants)."""
+    """One instance of every single-process strategy."""
     return [
         DenseBackend(points),
         ChunkedBackend(points, block_size=29),
         TreeBackend(points),
-        TreeBackend(points, use_scipy=False, leaf_size=7),
     ]
-
-
-def backend_id(backend):
-    if isinstance(backend, TreeBackend) and not backend.uses_scipy:
-        return "tree-pure"
-    return backend.name
 
 
 DATASETS = {
@@ -96,7 +89,7 @@ class TestCountParity:
                     ) for x in points
                 ]) if radius >= 0 else np.zeros(points.shape[0], dtype=int)
                 assert np.array_equal(counts, brute), (
-                    backend_id(backend), radius
+                    backend.name, radius
                 )
             reference = counts if reference is None else reference
 
@@ -113,7 +106,7 @@ class TestCountParity:
             ])
             for backend in all_backends(points):
                 counts = backend.query_radius_counts(centers, radius)
-                assert np.array_equal(counts, brute), backend_id(backend)
+                assert np.array_equal(counts, brute), backend.name
 
     def test_dense_query_counts_on_overlapping_view(self):
         """A reordered view of the dataset must be treated as ordinary query
@@ -169,7 +162,7 @@ class TestScoreParity:
         points = DATASETS["random-2d"]
         radii = np.linspace(0.0, 1.5, 40)
         profiles = {
-            backend_id(b): b.capped_average_scores(radii, 40)
+            b.name: b.capped_average_scores(radii, 40)
             for b in all_backends(points)
         }
         base = profiles.pop("dense")
@@ -277,7 +270,7 @@ class TestKthDistances:
             for backend in all_backends(points):
                 kth = backend.kth_distances(k)
                 assert np.allclose(kth, sorted_distances[:, k - 1],
-                                   atol=1e-7), backend_id(backend)
+                                   atol=1e-7), backend.name
 
     def test_k_validation(self):
         backend = DenseBackend(DATASETS["random-2d"])

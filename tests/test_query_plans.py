@@ -16,8 +16,6 @@ Three contracts are pinned here:
   how many are in flight or in which order they are resolved.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -40,8 +38,6 @@ from repro.neighbors import (
     QueryPlan,
     ShardedBackend,
 )
-
-good_center_module = sys.modules["repro.core.good_center"]
 
 
 def make_backend(name, points, shards=3):
@@ -320,10 +316,6 @@ class TestGoodCenterRoundTrips:
             return original(self, shard, *args)
 
         monkeypatch.setattr(sharded_module._ShardSet, "view_label_mask", spy)
-        # Speculation off: these tests pin the *unspeculated* per-stage plan
-        # counts (speculation's own accounting — plans = these + misses — is
-        # TestSpeculativePlans' job, and a hit/miss depends on noise).
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
         backend = ShardedBackend(points, num_shards=3, num_workers=0)
         backend.HEAVIEST_CELL_TOP_K = None
         result = good_center(points, params=self.PARAMS, backend=backend,
@@ -381,108 +373,6 @@ class TestGoodCenterRoundTrips:
         assert stats["plans"] == search_plans + 3
         assert stats["fanouts"] == stats["plans"]
         assert sorted(derivations) == [0, 1, 2]
-
-
-class TestSpeculativePlans:
-    """_SPECULATIVE_PLANS: in-flight predicted plans must never move a byte
-    of any release — hit or miss — and the accounting must close: the
-    speculated run issues exactly the unspeculated run's plans plus one per
-    recorded miss (a hit *replaces* the stage's real plan, a discarded miss
-    rides alongside it)."""
-
-    JL_CONFIG = GoodCenterConfig(jl_constant=0.3)
-    PARAMS = PrivacyParams(16.0, 1e-4)
-    STAGES = {"search->box", "box->axes", "box->avg", "axes->avg"}
-
-    @pytest.fixture(scope="class")
-    def jl_points(self):
-        rng = np.random.default_rng(3)
-        dimension = 8
-        center = np.full(dimension, 0.5)
-        cluster = center + rng.normal(0, 0.015, size=(900, dimension))
-        noise = rng.uniform(0, 1, size=(300, dimension))
-        return np.vstack([cluster, noise])
-
-    def run(self, points, **kwargs):
-        backend = ShardedBackend(points, num_shards=3, num_workers=0)
-        backend.HEAVIEST_CELL_TOP_K = None
-        result = good_center(points, params=self.PARAMS, backend=backend,
-                             **kwargs)
-        return result, backend.pool_stats()
-
-    @staticmethod
-    def totals(stats):
-        spec = stats["speculation"]
-        hits = sum(counters["hits"] for counters in spec.values())
-        misses = sum(counters["misses"] for counters in spec.values())
-        return spec, hits, misses
-
-    @staticmethod
-    def assert_same_release(ours, theirs):
-        assert ours.found == theirs.found
-        assert ours.attempts == theirs.attempts
-        if ours.found:
-            assert np.array_equal(ours.center, theirs.center)
-            assert ours.radius_bound == theirs.radius_bound
-            assert ours.captured_count == theirs.captured_count
-
-    def test_jl_speculation_release_neutral_accounting_closes(
-            self, jl_points, monkeypatch):
-        kwargs = dict(radius=0.1, target=700, config=self.JL_CONFIG, rng=1)
-        spec_result, spec_stats = self.run(jl_points, **kwargs)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        base_result, base_stats = self.run(jl_points, **kwargs)
-        self.assert_same_release(spec_result, base_result)
-        spec, hits, misses = self.totals(spec_stats)
-        assert base_stats["speculation"] == {}
-        assert set(spec) <= self.STAGES
-        # Every noise gate of the JL path was speculated at.
-        assert hits + misses >= 3
-        assert spec_stats["plans"] == base_stats["plans"] + misses
-
-    def test_identity_speculation_release_neutral(self, medium_cluster_data,
-                                                  monkeypatch):
-        points = medium_cluster_data.points
-        kwargs = dict(radius=0.05, target=400, rng=0)
-        spec_result, spec_stats = self.run(points, **kwargs)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        base_result, base_stats = self.run(points, **kwargs)
-        self.assert_same_release(spec_result, base_result)
-        spec, hits, misses = self.totals(spec_stats)
-        assert set(spec) <= {"search->box", "box->avg"}
-        assert "box->avg" in spec
-        assert spec_stats["plans"] == base_stats["plans"] + misses
-
-    def test_full_mispredict_streak_release_identical(self, jl_points,
-                                                      monkeypatch):
-        """A pathological predictor (the *lightest* slot) forces a miss at
-        every histogram gate; the discarded in-flight plans must leave the
-        release bitwise untouched and each miss must cost exactly one extra
-        plan."""
-        kwargs = dict(radius=0.1, target=700, config=self.JL_CONFIG, rng=1)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        base_result, base_stats = self.run(jl_points, **kwargs)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", True)
-        monkeypatch.setattr(
-            good_center_module, "_predict_slot",
-            lambda counts: int(np.argmin(np.asarray(counts))),
-        )
-        spec_result, spec_stats = self.run(jl_points, **kwargs)
-        self.assert_same_release(spec_result, base_result)
-        spec, hits, misses = self.totals(spec_stats)
-        assert spec["box->axes"] == {"hits": 0, "misses": 1}
-        assert spec["axes->avg"] == {"hits": 0, "misses": 1}
-        assert spec_stats["plans"] == base_stats["plans"] + misses
-
-    def test_non_sharded_backends_never_speculate(self, jl_points):
-        """supports_speculation gates the whole subsystem: serial backends
-        evaluate submit() eagerly, so speculating there is pure waste."""
-        backend = BACKENDS["dense"](jl_points)
-        result = good_center(jl_points, radius=0.1, target=700,
-                             params=self.PARAMS, config=self.JL_CONFIG,
-                             rng=1, backend=backend)
-        assert result.found
-        assert backend.speculation_stats() == {}
 
 
 class TestKClusterAsyncCoverage:
